@@ -62,57 +62,34 @@ def is_eulerian(K: SimplicialComplex, exhaustive: bool = False) -> CheckReport:
             values={"reason": "empty complex"},
         )
 
-    failures: list[dict] = []
     d = K.dim
-
-    for facet in K.facets:
-        if len(facet) - 1 != d:
-            record = {
-                "face": facet,
-                "kind": "not_pure",
-                "facet_dim": len(facet) - 1,
-                "complex_dim": d,
-            }
-            if not exhaustive:
-                return CheckReport(
-                    kind="eulerian",
-                    holds=False,
-                    witness=facet,
-                    values={"reason": "not_pure", "facet_dim": len(facet) - 1},
+    failures = [
+        {"face": facet, "kind": "not_pure", "facet_dim": len(facet) - 1, "complex_dim": d}
+        for facet in K.facets
+        if len(facet) - 1 != d
+    ]
+    if exhaustive or not failures:
+        for sigma in K.faces():
+            got = euler_characteristic(K.link(sigma))
+            want = sphere_chi(d - len(sigma))
+            if got != want:
+                failures.append(
+                    {"face": sigma, "kind": "bad_link", "chi_link": got, "expected": want}
                 )
-            failures.append(record)
+                if not exhaustive:
+                    break
 
-    for sigma in K.faces():
-        got = euler_characteristic(K.link(sigma))
-        want = sphere_chi(d - len(sigma))
-        if got != want:
-            record = {
-                "face": sigma,
-                "kind": "bad_link",
-                "chi_link": got,
-                "expected": want,
-            }
-            if not exhaustive:
-                return CheckReport(
-                    kind="eulerian",
-                    holds=False,
-                    witness=sigma,
-                    values={"reason": "bad_link", "chi_link": got, "expected": want},
-                )
-            failures.append(record)
-
-    if failures:
-        first = failures[0]
-        values = {k: v for k, v in first.items() if k not in ("face", "kind")}
-        values["reason"] = first["kind"]
-        return CheckReport(
-            kind="eulerian",
-            holds=False,
-            witness=first["face"],
-            values=values,
-            failures=failures,
-        )
-    return CheckReport(kind="eulerian", holds=True, values={"faces_checked": K.num_faces()})
+    if not failures:
+        return CheckReport(kind="eulerian", holds=True, values={"faces_checked": K.num_faces()})
+    first = failures[0]
+    values = {k: v for k, v in first.items() if k not in ("face", "kind")}
+    return CheckReport(
+        kind="eulerian",
+        holds=False,
+        witness=first["face"],
+        values={"reason": first["kind"], **values},
+        failures=failures if exhaustive else [],
+    )
 
 
 def ds_residuals(K: SimplicialComplex) -> tuple[list[DSResidualRow], CheckReport]:

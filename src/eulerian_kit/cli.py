@@ -30,6 +30,8 @@ CHECK_NAMES = THEOREM_CHECKS + ("flag",)
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT = re.compile(r"-?[0-9]+")
+# parsing and building recurse once per level; real expressions are far shallower
+MAX_NESTING = 100
 
 
 # -- generator expression grammar: name[:p][(arg, arg)] -----------------------
@@ -49,7 +51,11 @@ def _skip_ws(text, pos):
     return pos
 
 
-def _parse_expr(text, pos):
+def _parse_expr(text, pos, depth=0):
+    if depth > MAX_NESTING:
+        raise InputError(
+            f"generator expression: nested deeper than {MAX_NESTING} levels at column {pos + 1}"
+        )
     pos = _skip_ws(text, pos)
     m = _NAME.match(text, pos)
     if not m:
@@ -67,7 +73,7 @@ def _parse_expr(text, pos):
     if ahead < len(text) and text[ahead] == "(":
         pos = ahead + 1
         while True:
-            spec, pos = _parse_expr(text, pos)
+            spec, pos = _parse_expr(text, pos, depth + 1)
             args.append(spec)
             pos = _skip_ws(text, pos)
             if pos < len(text) and text[pos] == ",":
@@ -95,13 +101,8 @@ def _qstr(q) -> str:
 
 
 def _witness_json(K, witness):
-    if witness is None:
-        return None
-    if isinstance(witness, tuple):
-        return list(K.labels_of(witness))
-    if isinstance(witness, int):
-        return _istr(witness)
-    return str(witness)
+    """A face witness as its labels; None and marker strings pass through."""
+    return list(K.labels_of(witness)) if isinstance(witness, tuple) else witness
 
 
 def _eulerian_section(K, report):
@@ -128,12 +129,13 @@ def _eulerian_section(K, report):
     return section
 
 
-def build_document(K, provenance, include, gate, exhaustive=False, strict=()):
-    """Assemble a ReportDocument dict plus the overall pass flag.
+def build_document(K, provenance, include, exhaustive=False, strict=()):
+    """Assemble a ReportDocument dict and the verdict of each check that ran.
 
-    include: checks to run; gate: subset that decides the pass flag.
-    Checks named in strict raise InputError when their preconditions fail;
-    the rest are recorded under "skipped" instead.
+    A verdict is True or False, or None for an informational result that
+    does not gate: flag, and an odd-dimensional formula, unless named in
+    strict.  Checks named in strict raise InputError when their
+    preconditions fail; the rest are recorded under "skipped" instead.
     """
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -144,71 +146,61 @@ def build_document(K, provenance, include, gate, exhaustive=False, strict=()):
         "chi": _istr(euler_characteristic(K)),
         "is_pure": K.is_pure(),
     }
-    results = {}
+    verdicts = {}
     skipped = {}
+    empty = "empty complex" if K.is_empty() else None
 
-    def unavailable(name, reason):
-        if name in strict:
-            raise InputError(f"check {name!r}: {reason}")
-        skipped[name] = reason
+    def runs(name, unmet=None):
+        """Whether the check is selected and runs; unmet says why its
+        precondition fails, if it does."""
+        if name in include and unmet:
+            if name in strict:
+                raise InputError(f"check {name!r}: {unmet}")
+            skipped[name] = unmet
+        return name in include and not unmet
 
-    if "flag" in include:
+    if runs("flag"):
         rep = K.is_flag()
         doc["is_flag"] = {"holds": rep.holds, "witness": _witness_json(K, rep.witness)}
-        results["flag"] = rep.holds if "flag" in gate else None
-    if "eulerian" in include:
+        verdicts["flag"] = rep.holds if "flag" in strict else None
+    if runs("eulerian"):
         rep = is_eulerian(K, exhaustive=exhaustive)
         doc["is_eulerian"] = _eulerian_section(K, rep)
-        results["eulerian"] = rep.holds
-    if "ds" in include:
-        if K.is_empty():
-            unavailable("ds", "empty complex")
-        else:
-            rows, rep = ds_residuals(K)
-            doc["ds_rows"] = [
-                {"i": _istr(r.i), "lhs": _istr(r.lhs), "rhs": _istr(r.rhs), "holds": r.holds}
-                for r in rows
-            ]
-            results["ds"] = rep.holds
-    if "formula" in include:
-        if K.is_empty():
-            unavailable("formula", "empty complex")
-        else:
-            rep = check_main_formula(K)
-            doc["main_formula"] = {
-                "lhs": _istr(rep.values["lhs"]),
-                "rhs": _qstr(rep.values["rhs"]),
-                "scaled_lhs": _istr(rep.values["scaled_lhs"]),
-                "scaled_rhs": _istr(rep.values["scaled_rhs"]),
-                "holds": rep.holds,
-                "parity_warning": rep.values["parity_warning"],
-            }
-            # the identity is only asserted in even dimension; under the
-            # default selection an odd-dimensional report is informational
-            gates = "formula" in strict or K.dim % 2 == 0
-            results["formula"] = rep.holds if gates else None
-    if "proof" in include:
-        if K.is_empty():
-            unavailable("proof", "empty complex")
-        elif K.dim % 2 != 0:
-            unavailable("proof", f"dimension {K.dim} is odd")
-        else:
-            rep = proof_trace(K)
-            doc["proof_trace"] = {
-                "A": _istr(rep.values["A"]),
-                "B": _istr(rep.values["B"]),
-                "C": _istr(rep.values["C"]),
-                "P": _istr(rep.values["P"]),
-                "holds": rep.holds,
-            }
-            results["proof"] = rep.holds
+        verdicts["eulerian"] = rep.holds
+    if runs("ds", empty):
+        rows, rep = ds_residuals(K)
+        doc["ds_rows"] = [
+            {"i": _istr(r.i), "lhs": _istr(r.lhs), "rhs": _istr(r.rhs), "holds": r.holds}
+            for r in rows
+        ]
+        verdicts["ds"] = rep.holds
+    if runs("formula", empty):
+        rep = check_main_formula(K)
+        doc["main_formula"] = {
+            "lhs": _istr(rep.values["lhs"]),
+            "rhs": _qstr(rep.values["rhs"]),
+            "scaled_lhs": _istr(rep.values["scaled_lhs"]),
+            "scaled_rhs": _istr(rep.values["scaled_rhs"]),
+            "holds": rep.holds,
+            "parity_warning": rep.values["parity_warning"],
+        }
+        # the identity is only asserted in even dimension
+        gates = "formula" in strict or K.dim % 2 == 0
+        verdicts["formula"] = rep.holds if gates else None
+    if runs("proof", empty or (f"dimension {K.dim} is odd" if K.dim % 2 else None)):
+        rep = proof_trace(K)
+        doc["proof_trace"] = {
+            "A": _istr(rep.values["A"]),
+            "B": _istr(rep.values["B"]),
+            "C": _istr(rep.values["C"]),
+            "P": _istr(rep.values["P"]),
+            "holds": rep.holds,
+        }
+        verdicts["proof"] = rep.holds
 
     if skipped:
         doc["skipped"] = skipped
-    ok = all(v for name, v in results.items() if name in gate and v is not None)
-    if gate:
-        doc["checks_passed"] = ok
-    return doc, ok
+    return doc, verdicts
 
 
 # -- human-readable rendering --------------------------------------------------
@@ -222,8 +214,8 @@ def _use_color(stream) -> bool:
     )
 
 
-def _mark(ok: bool, color: bool) -> str:
-    word = "ok" if ok else "FAIL"
+def _mark(ok: bool, color: bool, words=("ok", "FAIL")) -> str:
+    word = words[0] if ok else words[1]
     if not color:
         return word
     return f"\x1b[32m{word}\x1b[0m" if ok else f"\x1b[31m{word}\x1b[0m"
@@ -307,10 +299,7 @@ def render_text(doc, color=False) -> str:
     for name, reason in doc.get("skipped", {}).items():
         lines.append(f"{name}: skipped ({reason})")
     if "checks_passed" in doc:
-        word = "PASS" if doc["checks_passed"] else "FAIL"
-        if color:
-            word = f"\x1b[32m{word}\x1b[0m" if doc["checks_passed"] else f"\x1b[31m{word}\x1b[0m"
-        lines.append(f"result: {word}")
+        lines.append(f"result: {_mark(doc['checks_passed'], color, ('PASS', 'FAIL'))}")
     return "\n".join(lines)
 
 
@@ -332,9 +321,12 @@ def _load_input(args):
         return build(spec), {"kind": "generator", "expr": spec.to_expr()}
     if not args.path:
         raise InputError("no input: give a facet file or --gen EXPR")
-    fmt = args.format or detect_format(args.path)
-    K = load_complex(args.path, fmt)
-    return K, {"kind": "file", "path": str(args.path), "format": fmt}
+    return _load_file(args.path, args.format)
+
+
+def _load_file(path, fmt=None):
+    fmt = fmt or detect_format(path)
+    return load_complex(path, fmt), {"kind": "file", "path": str(path), "format": fmt}
 
 
 def _split_operands(args):
@@ -357,7 +349,9 @@ def _emit(doc, as_json):
         print(render_text(doc, color=_use_color(sys.stdout)))
 
 
-def _selection(args):
+def _auditor(args):
+    """Validate the check selection in args; return a function that audits one
+    complex with it: (K, provenance) -> (doc with "checks_passed", verdicts)."""
     names = set(args.which or [])
     unknown = names - set(CHECK_NAMES) - {"all"}
     if unknown:
@@ -366,11 +360,16 @@ def _selection(args):
             f"{', '.join(CHECK_NAMES + ('all',))}"
         )
     explicit = names - {"all"}
-    if getattr(args, "all", False) or "all" in names or not explicit:
+    selected = explicit
+    if args.all or "all" in names or not explicit:
         selected = explicit | set(THEOREM_CHECKS)
-    else:
-        selected = explicit
-    return selected, explicit
+
+    def audit(K, provenance):
+        doc, verdicts = build_document(K, provenance, selected, args.exhaustive, explicit)
+        doc["checks_passed"] = False not in verdicts.values()
+        return doc, verdicts
+
+    return audit
 
 
 def cmd_info(args) -> int:
@@ -378,7 +377,7 @@ def cmd_info(args) -> int:
     if len(args.operands or []) > 1:
         raise InputError("info takes a single facet file")
     K, prov = _load_input(args)
-    doc, _ = build_document(K, prov, include={"flag"}, gate=set())
+    doc, _ = build_document(K, prov, include={"flag"})
     _emit(doc, args.json)
     return 0
 
@@ -386,12 +385,9 @@ def cmd_info(args) -> int:
 def cmd_check(args) -> int:
     _split_operands(args)
     K, prov = _load_input(args)
-    selected, explicit = _selection(args)
-    doc, ok = build_document(
-        K, prov, include=selected, gate=selected, exhaustive=args.exhaustive, strict=explicit
-    )
+    doc, _ = _auditor(args)(K, prov)
     _emit(doc, args.json)
-    return 0 if ok else 1
+    return 0 if doc["checks_passed"] else 1
 
 
 def cmd_gen(args) -> int:
@@ -413,34 +409,21 @@ def cmd_batch(args) -> int:
         p for p in dirpath.iterdir() if p.is_file() and p.suffix in (".facets", ".txt", ".json")
     )
     outdir = Path(args.out) if args.out else dirpath / "reports"
-    selected, explicit = _selection(args)
+    audit = _auditor(args)
 
     rows = []
-    n_pass = n_fail = n_error = 0
     for path in files:
         try:
-            K = load_complex(path)
-            prov = {"kind": "file", "path": str(path), "format": detect_format(path)}
-            doc, ok = build_document(
-                K,
-                prov,
-                include=selected,
-                gate=selected,
-                exhaustive=args.exhaustive,
-                strict=explicit,
-            )
-            outdir.mkdir(parents=True, exist_ok=True)
-            report_path = outdir / (path.name + ".report.json")
-            report_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-            if ok:
-                n_pass += 1
-                rows.append((path.name, "pass", ""))
-            else:
-                n_fail += 1
-                failed = [n for n in selected if _check_failed(doc, n, explicit)]
-                rows.append((path.name, "FAIL", ",".join(sorted(failed))))
+            doc, verdicts = audit(*_load_file(path))
+            try:
+                outdir.mkdir(parents=True, exist_ok=True)
+                report_path = outdir / (path.name + ".report.json")
+                report_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+            except OSError as e:
+                raise InputError(f"{e.filename or outdir}: {e.strerror or e}") from None
+            failed = sorted(name for name, ok in verdicts.items() if ok is False)
+            rows.append((path.name, "FAIL" if failed else "pass", ",".join(failed)))
         except (InputError, ConstructionError) as e:
-            n_error += 1
             rows.append((path.name, "error", str(e)))
 
     width = max((len(r[0]) for r in rows), default=4)
@@ -449,6 +432,9 @@ def cmd_batch(args) -> int:
         if detail:
             line += f"  {detail}"
         print(line)
+    n_pass, n_fail, n_error = (
+        sum(status == s for _, status, _ in rows) for s in ("pass", "FAIL", "error")
+    )
     print(f"{len(files)} file(s): {n_pass} passed, {n_fail} failed, {n_error} error(s)")
 
     if files and n_error == len(files):
@@ -456,24 +442,6 @@ def cmd_batch(args) -> int:
     if n_fail or n_error:
         return 1
     return 0
-
-
-def _check_failed(doc, name, strict=()) -> bool:
-    key = {
-        "eulerian": "is_eulerian",
-        "ds": "ds_rows",
-        "formula": "main_formula",
-        "proof": "proof_trace",
-        "flag": "is_flag",
-    }[name]
-    if key not in doc:
-        return False
-    section = doc[key]
-    if key == "ds_rows":
-        return not all(r["holds"] for r in section)
-    if key == "main_formula" and section["parity_warning"] and name not in strict:
-        return False
-    return not section["holds"]
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -97,4 +97,7 @@ def write_facets(K: SimplicialComplex, path, fmt: str = "plain") -> None:
         text = json.dumps({"facets": rows}, indent=2) + "\n"
     else:
         raise InputError(f"unknown facet format {fmt!r}")
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror or e}") from None

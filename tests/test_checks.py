@@ -69,6 +69,22 @@ def test_impure_complex_fails_with_purity_witness():
     assert K.labels_of(rep.witness) == ("x", "y")
 
 
+@pytest.mark.parametrize(
+    "K",
+    [
+        SimplicialComplex.from_facets([["a", "b", "c"], ["x", "y"], ["c", "d"]]),
+        gen.suspension(gen.torus7()),
+    ],
+    ids=["not_pure", "bad_link"],
+)
+def test_first_failure_is_the_same_with_and_without_exhaustive(K):
+    first, every = is_eulerian(K), is_eulerian(K, exhaustive=True)
+    assert (first.witness, first.values) == (every.witness, every.values)
+    assert first.failures == []
+    assert len(every.failures) >= 2
+    assert every.failures[0]["face"] == every.witness
+
+
 def test_empty_complex_is_not_eulerian():
     rep = is_eulerian(SimplicialComplex.from_facets([]))
     assert not rep.holds

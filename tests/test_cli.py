@@ -1,7 +1,10 @@
 """End-to-end command-line behavior: formats, reports, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,10 +13,21 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eulerian_kit
-from eulerian_kit.cli import main, parse_generator_expr
+from eulerian_kit.cli import (
+    CHECK_NAMES,
+    MAX_NESTING,
+    build_document,
+    main,
+    parse_generator_expr,
+)
 from eulerian_kit.errors import InputError
+from eulerian_kit.generators import build
+
+import oracles
 
 SCHEMA = json.loads(
     resources.files("eulerian_kit").joinpath("report_schema.json").read_text()
@@ -55,6 +69,22 @@ def test_expr_grammar():
 def test_expr_grammar_rejects_malformed_input(bad):
     with pytest.raises(InputError):
         parse_generator_expr(bad)
+
+
+def test_expr_nesting_is_bounded():
+    def nested(depth):
+        return "cone(" * depth + "polygon:4" + ")" * depth
+
+    assert parse_generator_expr(nested(MAX_NESTING)).to_expr() == nested(MAX_NESTING)
+    with pytest.raises(InputError, match="nested deeper"):
+        parse_generator_expr(nested(MAX_NESTING + 1))
+
+
+def test_deeply_nested_expression_is_an_input_error(capsys):
+    rc, out, err = run(capsys, "check", "--gen", "cone(" * 2000 + "polygon:4", "--all")
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 # -- info -------------------------------------------------------------------------
@@ -188,6 +218,19 @@ def test_check_unknown_check_name(capsys):
     assert "unknown check" in err
 
 
+def test_build_document_verdicts_mark_informational_results_none():
+    hexagon = build(parse_generator_expr("polygon:6"))
+    prov = {"kind": "generator", "expr": "polygon:6"}
+    _, verdicts = build_document(hexagon, prov, include={"flag"})
+    assert verdicts == {"flag": None}
+    _, verdicts = build_document(hexagon, prov, include={"flag", "formula", "ds"})
+    assert verdicts == {"flag": None, "ds": True, "formula": None}
+    _, verdicts = build_document(
+        hexagon, prov, include={"flag", "formula"}, strict={"flag", "formula"}
+    )
+    assert verdicts == {"flag": True, "formula": False}
+
+
 def test_human_output_has_no_ansi_when_not_a_tty(capsys):
     rc, out, _ = run(capsys, "check", "--gen", "torus7", "--all")
     assert rc == 0
@@ -244,6 +287,13 @@ def test_gen_writes_json_facets(tmp_path, capsys):
 def test_gen_unknown_generator_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "gen", "nope:1", "-o", str(tmp_path / "x.facets"))
     assert rc == 2
+
+
+def test_gen_to_missing_directory_is_an_input_error(tmp_path, capsys):
+    rc, out, err = run(capsys, "gen", "torus7", "-o", str(tmp_path / "no" / "x.facets"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "x.facets" in err
 
 
 GENERATOR_EXPRS = [
@@ -326,11 +376,83 @@ def test_batch_all_unreadable_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "which, want",
+    [
+        ((), {"c0.facets": "FAIL  ds,eulerian", "c1.facets": "pass"}),
+        (("flag", "all"), {"c0.facets": "FAIL  ds,eulerian,flag", "c1.facets": "pass"}),
+        (("formula",), {"c0.facets": "pass", "c1.facets": "FAIL  formula"}),
+    ],
+)
+def test_batch_fail_column_lists_the_gating_checks_that_failed(tmp_path, capsys, which, want):
+    _write_corpus(tmp_path, ["suspension(torus7)", "polygon:6"])
+    capsys.readouterr()
+    rc, out, _ = run(capsys, "batch", str(tmp_path), *which)
+    assert rc == 1
+    rows = dict(line.split(None, 1) for line in out.splitlines()[:-1])
+    assert rows == want
+
+
+def test_batch_unwritable_report_directory_is_an_error_per_file(tmp_path, capsys):
+    (tmp_path / "in").mkdir()
+    _write_corpus(tmp_path / "in", ["torus7", "polygon:5"])
+    (tmp_path / "taken").write_text("")
+    rc, out, _ = run(capsys, "batch", str(tmp_path / "in"), "-o", str(tmp_path / "taken"))
+    assert rc == 2
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == ["error", "error"]
+    assert lines[-1] == "2 file(s): 0 passed, 0 failed, 2 error(s)"
+
+
 def test_batch_output_sorted_by_filename(tmp_path, capsys):
     _write_corpus(tmp_path, ["torus7", "polygon:4", "simplex_boundary:2"])
     rc, out, _ = run(capsys, "batch", str(tmp_path))
     names = [line.split()[0] for line in out.splitlines() if line.startswith("c")]
     assert names == sorted(names)
+
+
+# -- exit-code contract, against an oracle over the JSON sections --------------------
+
+
+def expected_passed(doc, named):
+    """The documented gating rules, applied to an emitted report."""
+    verdicts = [doc[key]["holds"] for key in ("is_eulerian", "proof_trace") if key in doc]
+    if "ds_rows" in doc:
+        verdicts.append(all(row["holds"] for row in doc["ds_rows"]))
+    if "is_flag" in doc and "flag" in named:
+        verdicts.append(doc["is_flag"]["holds"])
+    formula = doc.get("main_formula")
+    if formula and (not formula["parity_warning"] or "formula" in named):
+        verdicts.append(formula["holds"])
+    return all(verdicts)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    empty=st.booleans(),
+    which=st.lists(st.sampled_from(CHECK_NAMES + ("all",)), max_size=3),
+    exhaustive=st.booleans(),
+)
+def test_exit_code_follows_the_gating_rules(tmp_path_factory, seed, empty, which, exhaustive):
+    facets = [] if empty else oracles.random_facets(random.Random(seed))
+    path = tmp_path_factory.mktemp("contract") / "k.json"
+    path.write_text(json.dumps({"facets": facets}))
+    argv = ["check", str(path), *which, "--json"] + ["--exhaustive"] * exhaustive
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+
+    named = set(which) - {"all"}
+    dim = max((len(f) for f in facets), default=0) - 1
+    unmet = {"ds", "formula", "proof"} if empty else ({"proof"} if dim % 2 else set())
+    if named & unmet:
+        assert rc == 2 and out.getvalue() == ""
+        return
+    doc = json.loads(out.getvalue())
+    passed = expected_passed(doc, named)
+    assert doc["checks_passed"] is passed
+    assert rc == (0 if passed else 1)
 
 
 # -- module entry point -------------------------------------------------------------
