@@ -66,7 +66,12 @@ def _parse_expr(text, pos, depth=0):
         m = _INT.match(text, pos + 1)
         if not m:
             raise InputError(f"generator expression: integer expected at column {pos + 2}")
-        params.append(int(m.group()))
+        try:
+            params.append(int(m.group()))
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise InputError(
+                f"generator expression: integer too long at column {pos + 2}"
+            ) from None
         pos = m.end()
     args = []
     ahead = _skip_ws(text, pos)

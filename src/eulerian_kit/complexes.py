@@ -121,32 +121,28 @@ class SimplicialComplex:
         and the 0-faces agree.
         """
         table = VertexTable(labels)
-        buckets: dict[int, set[Face]] = {}
+        given: dict[int, set[Face]] = {}
         for f in facets:
-            if not f:
-                continue
-            buckets.setdefault(len(f) - 1, set()).add(tuple(f))
+            if f:
+                given.setdefault(len(f) - 1, set()).add(tuple(f))
 
-        # Close downward one level at a time; level k is complete before we
-        # descend, so each face is expanded exactly once.
-        dominated: set[Face] = set()
-        if buckets:
-            for k in range(max(buckets), 0, -1):
-                lower = buckets.setdefault(k - 1, set())
-                for face in buckets.get(k, ()):
-                    for i in range(len(face)):
-                        sub = face[:i] + face[i + 1 :]
-                        lower.add(sub)
-                        dominated.add(sub)
+        # Close downward one level at a time: level k is generated from the
+        # finished level above, and the input faces it does not generate are
+        # exactly the facets of dimension k.
+        by_dim: dict[int, frozenset[Face]] = {}
+        maximal: list[Face] = []
+        above: frozenset[Face] = frozenset()
+        for k in range(max(given, default=-1), -1, -1):
+            level = {face[:i] + face[i + 1 :] for face in above for i in range(len(face))}
+            extra = given.get(k, set()) - level
+            maximal += extra
+            level |= extra
+            by_dim[k] = above = frozenset(level)
 
-        if len(buckets.get(0, ())) != len(table):
+        if len(by_dim.get(0, ())) != len(table):
             raise InputError("every vertex in the table must occur in a face")
 
-        maximal = sorted(
-            (f for bucket in buckets.values() for f in bucket if f not in dominated),
-            key=lambda f: (len(f), f),
-        )
-        by_dim = {k: frozenset(b) for k, b in buckets.items()}
+        maximal.sort(key=lambda f: (len(f), f))
         return cls(by_dim, tuple(maximal), table)
 
     # -- elementary queries -------------------------------------------------
@@ -247,33 +243,28 @@ class SimplicialComplex:
         Works level by level: once all cliques of size s are known to be
         faces, every clique of size s+1 extends a stored face by one
         adjacent vertex.  The first failure found this way is a minimal
-        non-face clique, returned as the witness.
+        non-face clique, returned as the witness.  The top level ends the
+        test: a clique that extends a top-dimensional face is never a face.
         """
         adj: dict[int, set[int]] = defaultdict(set)
         for a, b in self.faces_of_dim(1):
             adj[a].add(b)
             adj[b].add(a)
 
-        size = 2
-        while size <= len(self._table):
-            found_larger = False
-            for f in sorted(self.faces_of_dim(size - 1)):
-                common = set.intersection(*(adj[v] for v in f)) if f else set()
-                for v in sorted(common):
+        for k in range(1, self._dim + 1):
+            larger = self.faces_of_dim(k + 1)
+            for f in sorted(self.faces_of_dim(k)):
+                for v in sorted(set.intersection(*(adj[u] for u in f))):
                     if v <= f[-1]:
                         continue
                     clique = f + (v,)
-                    found_larger = True
-                    if clique not in self:
+                    if clique not in larger:
                         return CheckReport(
                             kind="flag",
                             holds=False,
                             witness=clique,
                             values={"witness_labels": self.labels_of(clique)},
                         )
-            if not found_larger:
-                break
-            size += 1
         return CheckReport(kind="flag", holds=True)
 
     def __repr__(self) -> str:

@@ -22,6 +22,34 @@ def closure_of(facets):
     return faces
 
 
+def vertex_ids(facets):
+    """Labels numbered in first-appearance order, as the library interns them."""
+    return {v: i for i, v in enumerate(dict.fromkeys(v for facet in facets for v in facet))}
+
+
+def maximal_of(faces):
+    """The inclusion-maximal members of a set of frozensets."""
+    return {f for f in faces if not any(f < g for g in faces)}
+
+
+def first_nonface_clique(facets):
+    """The first clique of the 1-skeleton that is not a face, or None.
+
+    Cliques are tried by size, then in lexicographic order of their sorted
+    vertex ids, with the faces taken from ``closure_of``.
+    """
+    faces = closure_of(facets)
+    ids = vertex_ids(facets)
+    label = {i: v for v, i in ids.items()}
+    for size in range(3, len(ids) + 1):
+        for clique in itertools.combinations(range(len(ids)), size):
+            labels = [label[i] for i in clique]
+            is_clique = all(frozenset(e) in faces for e in itertools.combinations(labels, 2))
+            if is_clique and frozenset(labels) not in faces:
+                return clique
+    return None
+
+
 def link_of(faces, sigma):
     """Brute-force link: every tau disjoint from sigma with tau | sigma a face."""
     sigma = frozenset(sigma)

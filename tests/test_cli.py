@@ -87,6 +87,16 @@ def test_deeply_nested_expression_is_an_input_error(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_overlong_integer_parameter_is_an_input_error(capsys):
+    expr = "polygon:" + "9" * 5000
+    with pytest.raises(InputError, match="integer too long at column 9"):
+        parse_generator_expr(expr)
+    rc, out, err = run(capsys, "info", "--gen", expr)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: generator expression: integer too long at column 9\n"
+
+
 # -- info -------------------------------------------------------------------------
 
 
@@ -369,6 +379,22 @@ def test_batch_mixed_error_and_pass(tmp_path, capsys):
     assert "error" in out
 
 
+def test_deeply_nested_json_file_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    rc, out, err = run(capsys, "info", str(deep))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {deep}: nested too deeply\n"
+
+    _write_corpus(tmp_path, ["torus7"])
+    capsys.readouterr()
+    rc, out, _ = run(capsys, "batch", str(tmp_path))
+    assert rc == 1
+    rows = [line.split(None, 2) for line in out.splitlines()[:-1]]
+    assert rows == [["c0.facets", "pass"], ["deep.json", "error", f"{deep}: nested too deeply"]]
+
+
 def test_batch_all_unreadable_exits_2(tmp_path, capsys):
     (tmp_path / "one.facets").write_text("a a\n")
     (tmp_path / "two.json").write_text("{broken")
@@ -427,7 +453,7 @@ def expected_passed(doc, named):
     return all(verdicts)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(
     seed=st.integers(0, 2**32 - 1),
     empty=st.booleans(),

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eulerian_kit import InputError, SimplicialComplex, f_vector, is_eulerian
 from eulerian_kit import generators as gen
@@ -209,6 +211,36 @@ def test_facets_are_exactly_the_maximal_faces(make):
             face != other and set(face) < set(other) for other in all_faces
         )
         assert (face in facets) == (not has_coface)
+
+
+def random_rows(seed, max_size, extra):
+    """Random facet rows, then ``extra`` duplicate or dominated copies of them."""
+    rng = random.Random(seed)
+    rows = oracles.random_facets(rng, max_vertices=8, max_facets=10, max_size=max_size)
+    for _ in range(extra):
+        row = rng.choice(rows)
+        rows.append(rng.sample(row, rng.randint(1, len(row))))
+    return rows
+
+
+@given(seed=st.integers(0, 2**32 - 1), max_size=st.integers(2, 6), extra=st.integers(0, 4))
+def test_closure_and_facets_match_the_oracle(seed, max_size, extra):
+    rows = random_rows(seed, max_size, extra)
+    K = SimplicialComplex.from_facets(rows)
+    faces = oracles.closure_of(rows)
+    assert oracles.complex_faces(K) == faces
+    ids = oracles.vertex_ids(rows)
+    maximal = [tuple(sorted(ids[v] for v in f)) for f in oracles.maximal_of(faces)]
+    assert K.facets == tuple(sorted(maximal, key=lambda f: (len(f), f)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), max_size=st.integers(2, 6), extra=st.integers(0, 4))
+def test_flag_witness_matches_the_oracle(seed, max_size, extra):
+    rows = random_rows(seed, max_size, extra)
+    report = SimplicialComplex.from_facets(rows).is_flag()
+    want = oracles.first_nonface_clique(rows)
+    assert report.holds is (want is None)
+    assert report.witness == want
 
 
 def test_f_vector_invariant_under_relabeling():
