@@ -1,0 +1,99 @@
+"""Golden outputs: the exact text and JSON the command line prints.
+
+Other tests check substrings and schema validity; these pin every byte,
+including the JSON key order and the layout of the text report.  Each case
+runs in a temporary directory holding the fixture files, so the file paths
+in the output are the same on every machine.  To regenerate the expected
+files after a deliberate change of output, run ``python tests/test_golden.py``
+with the package importable and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from eulerian_kit.cli import main, render_text
+
+GOLDEN = Path(__file__).parent / "golden"
+
+FILES = {"nonpure.facets": "a b c\nc d\nd e f g\n", "empty.facets": ""}
+
+# golden file name -> (expected exit code, argv)
+CASES = {
+    "suspension_torus7_exhaustive.txt": (
+        1, ["check", "--gen", "suspension(torus7)", "--all", "--exhaustive"]
+    ),
+    "suspension_torus7_exhaustive.json": (
+        1, ["check", "--gen", "suspension(torus7)", "--all", "--exhaustive", "--json"]
+    ),
+    "nonpure_all.txt": (1, ["check", "nonpure.facets", "--all"]),
+    "nonpure_all.json": (1, ["check", "nonpure.facets", "--all", "--json"]),
+    "empty_all.txt": (1, ["check", "empty.facets", "--all"]),
+    "info_simplex_boundary3.txt": (0, ["info", "--gen", "simplex_boundary:3"]),
+    "info_simplex_boundary3.json": (0, ["info", "--gen", "simplex_boundary:3", "--json"]),
+    "polygon6_formula_flag.txt": (1, ["check", "--gen", "polygon:6", "formula", "flag"]),
+    "cone_polygon4_all.txt": (1, ["check", "--gen", "cone(polygon:4)", "--all"]),
+    "cone_polygon4_all.json": (1, ["check", "--gen", "cone(polygon:4)", "--all", "--json"]),
+    "projective_plane6_all.txt": (0, ["check", "--gen", "projective_plane6", "--all"]),
+}
+COLOR_CASE = "suspension_torus7_color.txt"
+
+
+def run(argv):
+    """Run the CLI in-process in the current directory; return (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def colored_report():
+    """The text report of a failing audit with ANSI colors, rendered from its JSON."""
+    _, out, _ = run(["check", "--gen", "suspension(torus7)", "--all", "--json"])
+    return render_text(json.loads(out), color=True) + "\n"
+
+
+def write_fixtures(directory):
+    for name, text in FILES.items():
+        (Path(directory) / name).write_text(text, encoding="utf-8")
+
+
+@pytest.fixture
+def fixture_dir(tmp_path, monkeypatch):
+    write_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(fixture_dir, name):
+    want_rc, argv = CASES[name]
+    rc, out, err = run(argv)
+    assert (rc, err) == (want_rc, "")
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_colored_text_matches_golden():
+    assert colored_report() == (GOLDEN / COLOR_CASE).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    outputs = {COLOR_CASE: colored_report()}
+    with tempfile.TemporaryDirectory() as tmp:
+        here = os.getcwd()
+        write_fixtures(tmp)
+        os.chdir(tmp)
+        try:
+            for name, (_, argv) in CASES.items():
+                outputs[name] = run(argv)[1]
+        finally:
+            os.chdir(here)
+    for name, text in outputs.items():
+        (GOLDEN / name).write_text(text, encoding="utf-8")
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)
