@@ -96,42 +96,27 @@ def _parse_expr(text, pos, depth=0):
 # -- exact serialization -------------------------------------------------------
 
 
-def _istr(n: int) -> str:
-    return str(int(n))
+def _exact(K, value):
+    """value with each int as a decimal string, each Fraction as "p/q" and each
+    face tuple as its labels; lists and dicts element by element, and bools,
+    None and strings as they are."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, tuple):
+        return list(K.labels_of(value))
+    if isinstance(value, list):
+        return [_exact(K, v) for v in value]
+    return {k: _exact(K, v) for k, v in value.items()}
 
 
-def _qstr(q) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _witness_json(K, witness):
-    """A face witness as its labels; None and marker strings pass through."""
-    return list(K.labels_of(witness)) if isinstance(witness, tuple) else witness
-
-
-def _eulerian_section(K, report):
-    section = {"holds": report.holds, "witness": _witness_json(K, report.witness)}
-    if not report.holds:
-        detail = {"reason": str(report.values.get("reason", ""))}
-        for key in ("chi_link", "expected", "facet_dim"):
-            if key in report.values:
-                detail[key] = _istr(report.values[key])
-        section["detail"] = detail
-    if report.failures:
-        section["failures"] = [
-            {
-                "face": list(K.labels_of(rec["face"])),
-                "kind": rec["kind"],
-                **{
-                    k: _istr(v)
-                    for k, v in rec.items()
-                    if k in ("chi_link", "expected", "facet_dim", "complex_dim")
-                },
-            }
-            for rec in report.failures
-        ]
-    return section
+def _section(K, rep, *keys):
+    """The named fields of a CheckReport, in this order, encoded by _exact."""
+    fields = {"holds": rep.holds, "witness": rep.witness, **rep.values}
+    return {key: _exact(K, fields[key]) for key in keys}
 
 
 def build_document(K, provenance, include, exhaustive=False, strict=()):
@@ -145,11 +130,13 @@ def build_document(K, provenance, include, exhaustive=False, strict=()):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "input": provenance,
-        "dim": _istr(K.dim),
-        "f_vector": [_istr(n) for n in f_vector(K)],
-        "h_vector": [_istr(n) for n in h_vector(K)],
-        "chi": _istr(euler_characteristic(K)),
-        "is_pure": K.is_pure(),
+        **_exact(K, {
+            "dim": K.dim,
+            "f_vector": f_vector(K),
+            "h_vector": h_vector(K),
+            "chi": euler_characteristic(K),
+            "is_pure": K.is_pure(),
+        }),
     }
     verdicts = {}
     skipped = {}
@@ -166,41 +153,34 @@ def build_document(K, provenance, include, exhaustive=False, strict=()):
 
     if runs("flag"):
         rep = K.is_flag()
-        doc["is_flag"] = {"holds": rep.holds, "witness": _witness_json(K, rep.witness)}
+        doc["is_flag"] = _section(K, rep, "holds", "witness")
         verdicts["flag"] = rep.holds if "flag" in strict else None
     if runs("eulerian"):
         rep = is_eulerian(K, exhaustive=exhaustive)
-        doc["is_eulerian"] = _eulerian_section(K, rep)
+        doc["is_eulerian"] = section = _section(K, rep, "holds", "witness")
+        if not rep.holds:
+            detail = {k: v for k, v in rep.values.items() if k != "complex_dim"}
+            section["detail"] = _exact(K, detail)
+        if rep.failures:
+            section["failures"] = _exact(K, rep.failures)
         verdicts["eulerian"] = rep.holds
     if runs("ds", empty):
         rows, rep = ds_residuals(K)
-        doc["ds_rows"] = [
-            {"i": _istr(r.i), "lhs": _istr(r.lhs), "rhs": _istr(r.rhs), "holds": r.holds}
-            for r in rows
-        ]
+        doc["ds_rows"] = _exact(
+            K, [{"i": r.i, "lhs": r.lhs, "rhs": r.rhs, "holds": r.holds} for r in rows]
+        )
         verdicts["ds"] = rep.holds
     if runs("formula", empty):
         rep = check_main_formula(K)
-        doc["main_formula"] = {
-            "lhs": _istr(rep.values["lhs"]),
-            "rhs": _qstr(rep.values["rhs"]),
-            "scaled_lhs": _istr(rep.values["scaled_lhs"]),
-            "scaled_rhs": _istr(rep.values["scaled_rhs"]),
-            "holds": rep.holds,
-            "parity_warning": rep.values["parity_warning"],
-        }
+        doc["main_formula"] = _section(
+            K, rep, "lhs", "rhs", "scaled_lhs", "scaled_rhs", "holds", "parity_warning"
+        )
         # the identity is only asserted in even dimension
         gates = "formula" in strict or K.dim % 2 == 0
         verdicts["formula"] = rep.holds if gates else None
     if runs("proof", empty or (f"dimension {K.dim} is odd" if K.dim % 2 else None)):
         rep = proof_trace(K)
-        doc["proof_trace"] = {
-            "A": _istr(rep.values["A"]),
-            "B": _istr(rep.values["B"]),
-            "C": _istr(rep.values["C"]),
-            "P": _istr(rep.values["P"]),
-            "holds": rep.holds,
-        }
+        doc["proof_trace"] = _section(K, rep, "A", "B", "C", "P", "holds")
         verdicts["proof"] = rep.holds
 
     if skipped:

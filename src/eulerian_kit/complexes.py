@@ -62,6 +62,10 @@ def _check_label(label: str) -> str:
         raise InputError(f"vertex label must be a nonempty string, got {label!r}")
     if any(ch.isspace() for ch in label):
         raise InputError(f"vertex label {label!r} contains whitespace")
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, such as the JSON escape "\ud800"
+        raise InputError(f"vertex label {label!r} is not valid Unicode") from None
     return label
 
 

@@ -49,6 +49,8 @@ def parse_json_facets(text: str, source: str = "<json>") -> list[list[str]]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{source}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except ValueError:  # an integer literal longer than sys.get_int_max_str_digits()
+        raise InputError(f"{source}: integer literal too long") from None
     except RecursionError:
         raise InputError(f"{source}: nested too deeply") from None
     if not isinstance(doc, dict) or "facets" not in doc:

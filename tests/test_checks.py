@@ -1,8 +1,11 @@
 """Eulerian condition, Dehn-Sommerville residuals, and the formula audits."""
 
 import random
+from math import prod
 
 import pytest
+from hypothesis import assume, example, given, note, settings
+from hypothesis import strategies as st
 
 from eulerian_kit import (
     InputError,
@@ -16,6 +19,7 @@ from eulerian_kit import (
     sphere_chi,
 )
 from eulerian_kit import generators as gen
+from eulerian_kit.cli import parse_generator_expr
 
 import oracles
 
@@ -318,3 +322,86 @@ def test_substitution_identities_hold_for_random_even_dimensional_complexes():
         assert rep.values["a_equals_c"]
         assert rep.values["a_equals_p"]
         count += 1
+
+
+# -- random operator trees over Eulerian leaves -------------------------------------
+
+MAX_FACES = 3000
+# FUBINI[k]: chains of faces ending at a k-face, i.e. the faces a k-face
+# contributes to the barycentric subdivision
+FUBINI = (1, 1, 3, 13, 75, 541, 4683, 47293)
+
+SPHERE_LEAVES = st.one_of(
+    st.integers(1, 4).map("simplex_boundary:{}".format),
+    st.integers(1, 3).map("cross_polytope_boundary:{}".format),
+    st.integers(3, 6).map("polygon:{}".format),
+)
+
+
+def _leaf(expr):
+    return expr, gen.build(parse_generator_expr(expr))
+
+
+def _apply(op, *operands):
+    """op applied to (expr, complex) operands.  Rejects the example before
+    building when it would hold a second subdivision or more than MAX_FACES
+    faces."""
+    expr = f"{op}({', '.join(e for e, _ in operands)})"
+    sizes = [K.num_faces() for _, K in operands]
+    if op == "disjoint_union":
+        faces = sum(sizes)
+    elif op == "barycentric_subdivision":
+        (_, K), = operands
+        assume(K.dim + 1 < len(FUBINI))
+        faces = sum(K.f_count(k - 1) * FUBINI[k] for k in range(1, K.dim + 2))
+    else:  # a face of a join pairs a face or the empty face of each side, not both empty
+        sides = sizes + [2] if op == "suspension" else sizes
+        faces = prod(n + 1 for n in sides) - 1
+    assume(expr.count("barycentric_subdivision") <= 1 and faces <= MAX_FACES)
+    return expr, gen.build(parse_generator_expr(expr))
+
+
+@st.composite
+def sphere_trees(draw, depth=3):
+    """(expr, complex): sphere leaves under join, suspension and subdivision."""
+    ops = ("leaf",) + (("join", "suspension", "barycentric_subdivision") if depth else ())
+    op = draw(st.sampled_from(ops))
+    if op == "leaf":
+        return _leaf(draw(SPHERE_LEAVES))
+    arity = 2 if op == "join" else 1
+    return _apply(op, *(draw(sphere_trees(depth - 1)) for _ in range(arity)))
+
+
+@st.composite
+def manifold_trees(draw, depth=2):
+    """(expr, complex): spheres, torus7 and projective_plane6 under subdivision
+    and disjoint unions of equal dimension.  Nothing here is joined or
+    suspended: suspension(torus7) is not Eulerian."""
+    ops = ("sphere", "torus7", "projective_plane6")
+    ops += ("barycentric_subdivision", "disjoint_union") if depth else ()
+    op = draw(st.sampled_from(ops))
+    if op == "sphere":
+        return draw(sphere_trees())
+    if op == "barycentric_subdivision":
+        return _apply(op, draw(manifold_trees(depth - 1)))
+    if op == "disjoint_union":
+        left, right = draw(manifold_trees(depth - 1)), draw(manifold_trees(depth - 1))
+        assume(left[1].dim == right[1].dim)
+        return _apply(op, left, right)
+    return _leaf(op)
+
+
+@settings(max_examples=50)
+@given(tree=manifold_trees())
+@example(tree=_leaf("disjoint_union(torus7, projective_plane6)"))
+@example(tree=_leaf("barycentric_subdivision(disjoint_union(torus7, simplex_boundary:3))"))
+@example(tree=_leaf("join(cross_polytope_boundary:2, polygon:3)"))
+def test_eulerian_operator_trees_pass_every_check(tree):
+    expr, K = tree
+    note(f"{expr}: {K.num_faces()} faces")
+    assert is_eulerian(K).holds
+    rows, _ = ds_residuals(K)
+    assert all(row.holds for row in rows)
+    if K.dim % 2 == 0:
+        assert check_main_formula(K).holds
+        assert proof_trace(K).holds

@@ -395,6 +395,34 @@ def test_deeply_nested_json_file_is_an_input_error(tmp_path, capsys):
     assert rows == [["c0.facets", "pass"], ["deep.json", "error", f"{deep}: nested too deeply"]]
 
 
+def test_overlong_integer_in_json_file_is_an_input_error(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text('{"facets": [["a", "b"]], "n": ' + "9" * 5000 + "}")
+    rc, out, err = run(capsys, "info", str(big))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {big}: integer literal too long\n"
+
+    _write_corpus(tmp_path, ["torus7"])
+    capsys.readouterr()
+    rc, out, _ = run(capsys, "batch", str(tmp_path))
+    assert rc == 1
+    rows = [line.split(None, 2) for line in out.splitlines()[:-1]]
+    assert rows == [
+        ["big.json", "error", f"{big}: integer literal too long"],
+        ["c0.facets", "pass"],
+    ]
+
+
+def test_lone_surrogate_label_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "sur.json"
+    path.write_text('{"facets": [["\\ud800", "b"]]}')
+    rc, out, err = run(capsys, "check", str(path), "eulerian")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: vertex label '\\ud800' is not valid Unicode\n"
+
+
 def test_batch_all_unreadable_exits_2(tmp_path, capsys):
     (tmp_path / "one.facets").write_text("a a\n")
     (tmp_path / "two.json").write_text("{broken")
@@ -476,6 +504,7 @@ def test_exit_code_follows_the_gating_rules(tmp_path_factory, seed, empty, which
         assert rc == 2 and out.getvalue() == ""
         return
     doc = json.loads(out.getvalue())
+    jsonschema.validate(doc, SCHEMA)
     passed = expected_passed(doc, named)
     assert doc["checks_passed"] is passed
     assert rc == (0 if passed else 1)

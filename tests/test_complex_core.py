@@ -46,6 +46,11 @@ def test_whitespace_and_empty_labels_rejected():
         SimplicialComplex.from_facets([["", "c"]])
 
 
+def test_lone_surrogate_label_rejected():
+    with pytest.raises(InputError, match="not valid Unicode"):
+        SimplicialComplex.from_facets([["\ud800"]])
+
+
 def test_dominated_and_duplicate_facets_absorbed():
     K = SimplicialComplex.from_facets([["a", "b", "c"], ["a", "b"], ["a", "b", "c"]])
     assert K.facets == ((0, 1, 2),)
