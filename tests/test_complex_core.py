@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eulerian_kit import InputError, SimplicialComplex, f_vector, is_eulerian
@@ -239,9 +239,18 @@ def test_closure_and_facets_match_the_oracle(seed, max_size, extra):
     assert K.facets == tuple(sorted(maximal, key=lambda f: (len(f), f)))
 
 
-@given(seed=st.integers(0, 2**32 - 1), max_size=st.integers(2, 6), extra=st.integers(0, 4))
-def test_flag_witness_matches_the_oracle(seed, max_size, extra):
-    rows = random_rows(seed, max_size, extra)
+# A complete graph on 8 vertices given as edges only: every triangle is a
+# missing clique, and the witness must be the lexicographically first one.
+COMPLETE_GRAPH_EDGES = [[f"v{a}", f"v{b}"] for a, b in itertools.combinations(range(8), 2)]
+
+
+@given(
+    rows=st.builds(
+        random_rows, st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(0, 4)
+    )
+)
+@example(rows=COMPLETE_GRAPH_EDGES)
+def test_flag_witness_matches_the_oracle(rows):
     report = SimplicialComplex.from_facets(rows).is_flag()
     want = oracles.first_nonface_clique(rows)
     assert report.holds is (want is None)

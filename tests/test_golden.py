@@ -41,6 +41,15 @@ CASES = {
     "cone_polygon4_all.txt": (1, ["check", "--gen", "cone(polygon:4)", "--all"]),
     "cone_polygon4_all.json": (1, ["check", "--gen", "cone(polygon:4)", "--all", "--json"]),
     "projective_plane6_all.txt": (0, ["check", "--gen", "projective_plane6", "--all"]),
+    "bsd_cone_polygon4_exhaustive.txt": (
+        1, ["check", "--gen", "barycentric_subdivision(cone(polygon:4))", "--all", "--exhaustive"]
+    ),
+    "bsd_cone_polygon4_exhaustive.json": (
+        1,
+        ["check", "--gen", "barycentric_subdivision(cone(polygon:4))", "--all", "--exhaustive",
+         "--json"],
+    ),
+    "info_join_torus7_polygon4.txt": (0, ["info", "--gen", "join(torus7, polygon:4)"]),
 }
 COLOR_CASE = "suspension_torus7_color.txt"
 
