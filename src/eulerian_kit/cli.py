@@ -20,7 +20,7 @@ from pathlib import Path
 from .checks import check_main_formula, ds_residuals, is_eulerian, proof_trace
 from .complexes import SimplicialComplex
 from .errors import ConstructionError, InputError
-from .facetio import FORMATS, detect_format, load_complex, write_facets
+from .facetio import FORMATS, detect_format, display_path, load_complex, write_facets
 from .generators import GeneratorSpec, build
 from .invariants import euler_characteristic, f_vector, h_vector
 
@@ -311,7 +311,7 @@ def _load_input(args):
 
 def _load_file(path, fmt=None):
     fmt = fmt or detect_format(path)
-    return load_complex(path, fmt), {"kind": "file", "path": str(path), "format": fmt}
+    return load_complex(path, fmt), {"kind": "file", "path": display_path(path), "format": fmt}
 
 
 def _split_operands(args):
@@ -398,6 +398,7 @@ def cmd_batch(args) -> int:
 
     rows = []
     for path in files:
+        shown = display_path(path.name)
         try:
             doc, verdicts = audit(*_load_file(path))
             try:
@@ -405,11 +406,13 @@ def cmd_batch(args) -> int:
                 report_path = outdir / (path.name + ".report.json")
                 report_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
             except OSError as e:
-                raise InputError(f"{e.filename or outdir}: {e.strerror or e}") from None
+                raise InputError(
+                    f"{display_path(e.filename or outdir)}: {e.strerror or e}"
+                ) from None
             failed = sorted(name for name, ok in verdicts.items() if ok is False)
-            rows.append((path.name, "FAIL" if failed else "pass", ",".join(failed)))
+            rows.append((shown, "FAIL" if failed else "pass", ",".join(failed)))
         except (InputError, ConstructionError) as e:
-            rows.append((path.name, "error", str(e)))
+            rows.append((shown, "error", str(e)))
 
     width = max((len(r[0]) for r in rows), default=4)
     for name, status, detail in rows:
@@ -440,6 +443,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 all selected checks hold, 1 a check failed, 2 input error",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    all_help = f"run the theorem checks: {', '.join(THEOREM_CHECKS)}"
 
     p_info = sub.add_parser("info", help="invariants of a complex, no theorem checks")
     p_info.add_argument("operands", nargs="*", metavar="PATH", help="facet file (plain or json)")
@@ -455,9 +459,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help=f"facet file, then checks to run: {', '.join(CHECK_NAMES + ('all',))} (default: all)",
     )
     _add_input_args(p_check)
-    p_check.add_argument(
-        "--all", action="store_true", help="run eulerian, ds, formula, and proof"
-    )
+    p_check.add_argument("--all", action="store_true", help=all_help)
     p_check.add_argument(
         "--exhaustive", action="store_true", help="collect every failure, not just the first"
     )
@@ -478,7 +480,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="WHICH",
         help="checks to run per file (default: all)",
     )
-    p_batch.add_argument("--all", action="store_true", help="run all theorem checks")
+    p_batch.add_argument("--all", action="store_true", help=all_help)
     p_batch.add_argument("--exhaustive", action="store_true", help="collect every failure")
     p_batch.add_argument(
         "-o", "--out", help="directory for per-file JSON reports (default: DIR/reports)"

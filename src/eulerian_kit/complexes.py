@@ -250,17 +250,15 @@ class SimplicialComplex:
         non-face clique, returned as the witness.  The top level ends the
         test: a clique that extends a top-dimensional face is never a face.
         """
-        adj: dict[int, set[int]] = defaultdict(set)
+        # Each edge (a, b) has a < b, so up[a] holds only the neighbours above a.
+        up: dict[int, set[int]] = defaultdict(set)
         for a, b in self.faces_of_dim(1):
-            adj[a].add(b)
-            adj[b].add(a)
+            up[a].add(b)
 
         for k in range(1, self._dim + 1):
             larger = self.faces_of_dim(k + 1)
             for f in sorted(self.faces_of_dim(k)):
-                for v in sorted(set.intersection(*(adj[u] for u in f))):
-                    if v <= f[-1]:
-                        continue
+                for v in sorted(up[f[-1]].intersection(*(up[u] for u in f[:-1]))):
                     clique = f + (v,)
                     if clique not in larger:
                         return CheckReport(

@@ -9,6 +9,7 @@ carry file/line/column diagnostics.
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -18,6 +19,12 @@ from .errors import InputError
 _TOKEN = re.compile(r"\S+")
 
 FORMATS = ("plain", "json")
+
+
+def display_path(path) -> str:
+    """A file path as printable text: bytes of its name that are not valid
+    UTF-8 appear as backslash escapes such as \\xff."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
 def detect_format(path) -> str:
@@ -68,14 +75,15 @@ def read_facets(path, fmt: str | None = None) -> list[list[str]]:
     fmt = fmt or detect_format(path)
     if fmt not in FORMATS:
         raise InputError(f"unknown facet format {fmt!r}")
+    source = display_path(path)
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        raise InputError(f"{path}: {e.strerror or e}") from None
+        raise InputError(f"{source}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
-        raise InputError(f"{path}: not valid UTF-8 ({e.reason})") from None
+        raise InputError(f"{source}: not valid UTF-8 ({e.reason})") from None
     parse = parse_plain if fmt == "plain" else parse_json_facets
-    return parse(text, source=str(path))
+    return parse(text, source=source)
 
 
 def load_complex(path, fmt: str | None = None) -> SimplicialComplex:

@@ -13,7 +13,7 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .complexes import Face, SimplicialComplex
+from .complexes import SimplicialComplex
 from .errors import ConstructionError, InputError
 from .invariants import f_vector
 
@@ -39,7 +39,7 @@ def cross_polytope_boundary(n: int) -> SimplicialComplex:
     for i in range(1, n + 1):
         labels += [f"p{i}", f"m{i}"]
     facets = [
-        tuple(sorted(2 * i + s for i, s in enumerate(signs)))
+        tuple(2 * i + s for i, s in enumerate(signs))
         for signs in itertools.product((0, 1), repeat=n)
     ]
     return SimplicialComplex.from_indexed_facets(facets, labels)
@@ -222,16 +222,15 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     """
     if K.is_empty():
         return K
-    face_ids: dict[Face, int] = {}
-    labels = []
-    for face in K.faces():
-        face_ids[face] = len(labels)
-        labels.append("b{" + ".".join(map(str, face)) + "}")
-    facets = []
-    for facet in K.facets:
-        for perm in itertools.permutations(facet):
-            chain = [tuple(sorted(perm[:j])) for j in range(1, len(perm) + 1)]
-            facets.append(tuple(sorted(face_ids[c] for c in chain)))
+    faces = list(K.faces())
+    face_ids = {face: i for i, face in enumerate(faces)}
+    labels = ["b{" + ".".join(map(str, face)) + "}" for face in faces]
+    # Ids follow (dimension, lex) order, so they increase along each chain.
+    facets = [
+        tuple(face_ids[tuple(sorted(perm[:j]))] for j in range(1, len(perm) + 1))
+        for facet in K.facets
+        for perm in itertools.permutations(facet)
+    ]
     return SimplicialComplex.from_indexed_facets(facets, labels)
 
 

@@ -570,3 +570,62 @@ def test_no_color_respected():
     returncode, stdout = run_on_terminal(argv, env)
     assert returncode == 0, stdout
     assert "\x1b" not in stdout
+
+
+# -- file names that are not valid UTF-8 ------------------------------------------
+
+
+def undecodable_file(directory, text, name=b"x\xff.facets"):
+    """Write ``text`` to a file named by bytes that are not UTF-8; return its name."""
+    name = os.fsdecode(name)
+    try:
+        (directory / name).write_text(text)
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the file system does not accept this file name")
+    return name
+
+
+def run_strict_utf8(directory, *argv):
+    """Run the CLI in a child whose stdout encodes strictly as UTF-8."""
+    env = child_env()
+    env["PYTHONIOENCODING"] = "utf-8"
+    return subprocess.run(
+        [sys.executable, "-m", "eulerian_kit", *argv],
+        cwd=directory,
+        capture_output=True,
+        env=env,
+    )
+
+
+def test_info_shows_an_undecodable_file_name_escaped(tmp_path):
+    name = undecodable_file(tmp_path, "a b\nb c\nc a\n")
+    proc = run_strict_utf8(tmp_path, "info", name)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.splitlines()[0] == rb"input: file x\xff.facets (plain)"
+
+
+def test_batch_shows_an_undecodable_file_name_escaped(tmp_path):
+    name = undecodable_file(tmp_path, "a b\nb c\nc a\n")
+    (tmp_path / "ok.facets").write_text("a b\nb c\nc a\n")
+    proc = run_strict_utf8(tmp_path, "batch", ".")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.splitlines() == [
+        b"ok.facets     pass",
+        rb"x\xff.facets  pass",
+        b"2 file(s): 2 passed, 0 failed, 0 error(s)",
+    ]
+    report = json.loads((tmp_path / "reports" / f"{name}.report.json").read_text())
+    assert report["input"]["path"] == r"x\xff.facets"
+
+
+def test_batch_error_rows_show_undecodable_file_names_escaped(tmp_path):
+    undecodable_file(tmp_path, "a a\n")
+    blocked = undecodable_file(tmp_path, "a b\nb c\nc a\n", b"y\xff.facets")
+    (tmp_path / "reports" / f"{blocked}.report.json").mkdir(parents=True)
+    proc = run_strict_utf8(tmp_path, "batch", ".")
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    assert proc.stdout.splitlines() == [
+        rb"x\xff.facets  error  x\xff.facets:1:3: repeated vertex 'a' in facet",
+        rb"y\xff.facets  error  reports/y\xff.facets.report.json: Is a directory",
+        b"2 file(s): 0 passed, 0 failed, 2 error(s)",
+    ]
