@@ -380,7 +380,8 @@ def cmd_gen(args) -> int:
     K = build(spec)
     write_facets(K, args.output, args.format)
     print(
-        f"wrote {len(K.facets)} facets ({K.num_faces()} faces, dim {K.dim}) to {args.output}",
+        f"wrote {len(K.facets)} facets ({K.num_faces()} faces, dim {K.dim}) "
+        f"to {display_path(args.output)}",
         file=sys.stderr,
     )
     return 0
@@ -389,7 +390,7 @@ def cmd_gen(args) -> int:
 def cmd_batch(args) -> int:
     dirpath = Path(args.dir)
     if not dirpath.is_dir():
-        raise InputError(f"{args.dir}: not a directory")
+        raise InputError(f"{display_path(args.dir)}: not a directory")
     files = sorted(
         p for p in dirpath.iterdir() if p.is_file() and p.suffix in (".facets", ".txt", ".json")
     )

@@ -17,14 +17,19 @@ from .complexes import SimplicialComplex
 from .errors import InputError
 
 _TOKEN = re.compile(r"\S+")
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")  # Unicode category Cc: C0, DEL and C1
 
 FORMATS = ("plain", "json")
 
 
 def display_path(path) -> str:
-    """A file path as printable text: bytes of its name that are not valid
-    UTF-8 appear as backslash escapes such as \\xff."""
-    return os.fsencode(path).decode("utf-8", "backslashreplace")
+    """A file path as printable text on one line: bytes of its name that are
+    not valid UTF-8 appear as backslash escapes such as \\xff, and control
+    characters as \\xNN, such as \\x0a for a newline."""
+    shown = os.fsencode(path).decode("utf-8", "backslashreplace")
+    if shown.isprintable():  # no control character: nothing more to escape
+        return shown
+    return _CONTROL.sub(lambda m: f"\\x{ord(m.group()):02x}", shown)
 
 
 def detect_format(path) -> str:
@@ -112,4 +117,4 @@ def write_facets(K: SimplicialComplex, path, fmt: str = "plain") -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as e:
-        raise InputError(f"{path}: {e.strerror or e}") from None
+        raise InputError(f"{display_path(path)}: {e.strerror or e}") from None

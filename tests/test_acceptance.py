@@ -241,6 +241,44 @@ def test_criterion_8_performance_on_double_subdivision(capsys):
         assert rc == 0
         assert doc["checks_passed"] is True
         assert doc["f_vector"] == ["74", "216", "144"]
-        assert elapsed < 60.0
+        assert elapsed < 5.0
 
-    _criterion(8, "full check of the twice-subdivided 2-sphere under 60s", body)
+    _criterion(8, "full check of the twice-subdivided 2-sphere under 5s", body)
+
+
+def test_criterion_9_exhaustive_audit_on_twice_subdivided_complexes(capsys):
+    def body():
+        start = time.monotonic()
+        rc, doc = _run_check_json(
+            capsys,
+            "--gen",
+            "barycentric_subdivision(barycentric_subdivision(simplex_boundary:4))",
+            "--all",
+            "--exhaustive",
+        )
+        elapsed = time.monotonic() - start
+        assert rc == 0
+        assert doc["checks_passed"] is True
+        assert doc["is_eulerian"] == {"holds": True, "witness": None}
+        # f_{j-1}(sd K) = sum_i f_{i-1}(K) j! S(i, j): (5, 10, 10, 5) -> (30, 150, 240, 120)
+        assert doc["f_vector"] == ["540", "3420", "5760", "2880"]
+        assert elapsed < 5.0
+
+        start = time.monotonic()
+        rc, doc = _run_check_json(
+            capsys,
+            "--gen",
+            "join(barycentric_subdivision(barycentric_subdivision(torus7)), polygon:4)",
+            "--all",
+            "--exhaustive",
+        )
+        elapsed = time.monotonic() - start
+        assert rc == 1
+        failures = doc["is_eulerian"]["failures"]
+        assert [(f["face"], f["chi_link"], f["expected"]) for f in failures] == (
+            [([v], "2", "0") for v in "0123"]
+            + [(list(e), "0", "2") for e in ("01", "03", "12", "23")]
+        )
+        assert elapsed < 5.0
+
+    _criterion(9, "exhaustive audits of two twice-subdivided complexes under 5s each", body)

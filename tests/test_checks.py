@@ -1,5 +1,6 @@
 """Eulerian condition, Dehn-Sommerville residuals, and the formula audits."""
 
+import json
 import random
 from math import prod
 
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, note, settings
 from hypothesis import strategies as st
 
 from eulerian_kit import (
+    CheckReport,
     InputError,
     SimplicialComplex,
     check_main_formula,
@@ -19,7 +21,9 @@ from eulerian_kit import (
     sphere_chi,
 )
 from eulerian_kit import generators as gen
-from eulerian_kit.cli import parse_generator_expr
+from eulerian_kit.checks import link_chis
+from eulerian_kit.cli import main, parse_generator_expr
+from eulerian_kit.facetio import facet_rows
 
 import oracles
 
@@ -117,6 +121,108 @@ def test_mixed_dimension_union_is_not_eulerian():
 def test_single_point_is_eulerian():
     # one vertex, whose link is empty: chi matches S^{-1}
     assert is_eulerian(SimplicialComplex.from_facets([["pt"]])).holds
+
+
+# -- the link sweep against one link subcomplex per face ---------------------------
+
+
+def per_face_link_audit(K):
+    """The exhaustive Eulerian audit that builds the link of every face, in
+    (dimension, lexicographic) order: the reference for the sweep."""
+    if K.is_empty():
+        return CheckReport(
+            kind="eulerian",
+            holds=False,
+            witness="empty complex",
+            values={"reason": "empty complex"},
+        )
+    d = K.dim
+    failures = [
+        {"face": facet, "kind": "not_pure", "facet_dim": len(facet) - 1, "complex_dim": d}
+        for facet in K.facets
+        if len(facet) - 1 != d
+    ]
+    for sigma in K.faces():
+        got = euler_characteristic(K.link(sigma))
+        want = sphere_chi(d - len(sigma))
+        if got != want:
+            failures.append({"face": sigma, "kind": "bad_link", "chi_link": got, "expected": want})
+    if not failures:
+        return CheckReport(kind="eulerian", holds=True, values={"faces_checked": K.num_faces()})
+    first = failures[0]
+    values = {k: v for k, v in first.items() if k not in ("face", "kind")}
+    return CheckReport(
+        kind="eulerian",
+        holds=False,
+        witness=first["face"],
+        values={"reason": first["kind"], **values},
+        failures=failures,
+    )
+
+
+FACET_ROWS = st.one_of(
+    st.just([]),
+    st.builds(lambda seed: oracles.random_facets(random.Random(seed)), st.integers(0, 2**32 - 1)),
+)
+SWEEP_EXAMPLES = [
+    [],
+    [["pt"]],
+    [["a", "b", "c"], ["x", "y"], ["c", "d"]],
+    facet_rows(gen.torus7()),
+    facet_rows(gen.suspension(gen.torus7())),
+    facet_rows(gen.join(gen.torus7(), gen.polygon(4))),
+]
+
+
+def _with_examples(test):
+    for rows in SWEEP_EXAMPLES:
+        test = example(rows=rows)(test)
+    return test
+
+
+@settings(max_examples=150)
+@given(rows=FACET_ROWS)
+@_with_examples
+def test_link_chis_match_every_link(rows):
+    K = SimplicialComplex.from_facets(rows)
+    faces = oracles.closure_of(rows)
+    for k in range(1, K.dim + 2):
+        chis = link_chis(K, k)
+        assert set(chis) == K.faces_of_dim(k - 1)
+        for s, got in chis.items():
+            assert got == euler_characteristic(K.link(s))
+            assert got == oracles.chi_of(oracles.link_of(faces, K.labels_of(s)))
+    assert link_chis(K, K.dim + 2) == {}
+
+
+@settings(max_examples=150)
+@given(rows=FACET_ROWS)
+@_with_examples
+def test_eulerian_audit_matches_the_per_face_link_audit(rows):
+    K = SimplicialComplex.from_facets(rows)
+    want = per_face_link_audit(K)
+    assert is_eulerian(K, exhaustive=True) == want
+    first = is_eulerian(K)
+    assert (first.holds, first.witness, first.values) == (want.holds, want.witness, want.values)
+    assert first.failures == []
+
+
+def test_check_all_exhaustive_builds_no_link(tmp_path, monkeypatch, capsys):
+    # the surface generators check their vertex links, so the files are
+    # written before link is disabled
+    exprs = {"fail": "suspension(torus7)", "pass": "barycentric_subdivision(torus7)"}
+    for name, expr in exprs.items():
+        assert main(["gen", expr, "-o", str(tmp_path / f"{name}.facets")]) == 0
+
+    def no_links(self, face):
+        raise AssertionError("the Eulerian audit built a link")
+
+    monkeypatch.setattr(SimplicialComplex, "link", no_links)
+    argv = ["check", "--all", "--exhaustive", "--json"]
+    assert main([*argv, str(tmp_path / "fail.facets")]) == 1
+    failures = json.loads(capsys.readouterr().out)["is_eulerian"]["failures"]
+    assert [(f["face"], f["chi_link"]) for f in failures] == [(["apex0"], "0"), (["apex1"], "0")]
+    assert main([*argv, str(tmp_path / "pass.facets")]) == 0
 
 
 # -- Dehn-Sommerville residuals ----------------------------------------------------
@@ -225,22 +331,21 @@ def test_main_formula_rejects_empty_complex():
 
 
 def test_eulerian_verdict_across_guaranteed_generator_outputs():
-    # every generator output carrying an Eulerian guarantee, at sizes where
-    # the full per-face link audit stays cheap
+    # every generator output carrying an Eulerian guarantee
     corpus = [
-        gen.simplex_boundary(n) for n in range(2, 6)
+        gen.simplex_boundary(n) for n in range(2, 7)
     ] + [
-        gen.cross_polytope_boundary(n) for n in range(2, 5)
+        gen.cross_polytope_boundary(n) for n in range(2, 6)
     ] + [
         gen.torus7(),
         gen.projective_plane6(),
         gen.join(gen.simplex_boundary(2), gen.simplex_boundary(2)),
         gen.suspension(gen.simplex_boundary(2)),
         gen.suspension(gen.simplex_boundary(3)),
+        gen.suspension(gen.simplex_boundary(4)),
     ]
     corpus += [gen.barycentric_subdivision(K) for K in list(corpus)]
     for K in corpus:
-        assert K.num_faces() <= 5000
         assert is_eulerian(K).holds
         _, rep = ds_residuals(K)
         assert rep.holds

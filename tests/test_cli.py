@@ -629,3 +629,60 @@ def test_batch_error_rows_show_undecodable_file_names_escaped(tmp_path):
         rb"y\xff.facets  error  reports/y\xff.facets.report.json: Is a directory",
         b"2 file(s): 0 passed, 0 failed, 2 error(s)",
     ]
+
+
+# -- file names holding control characters ------------------------------------------
+
+TRIANGLE = "a b\nb c\nc a\n"
+
+
+def control_file(directory, name):
+    """Write a triangle to ``directory / name``; skip where the name is refused."""
+    try:
+        (directory / name).write_text(TRIANGLE)
+    except OSError:
+        pytest.skip("the file system does not accept this file name")
+
+
+@pytest.mark.parametrize(
+    "name, shown", [("a\nb.facets", r"a\x0ab.facets"), ("t\tab.facets", r"t\x09ab.facets")]
+)
+def test_batch_rows_show_control_characters_escaped(tmp_path, capsys, name, shown):
+    control_file(tmp_path, name)
+    (tmp_path / "ok.facets").write_text(TRIANGLE)
+    rc, out, _ = run(capsys, "batch", str(tmp_path))
+    assert rc == 0
+    width = len(shown)
+    rows = sorted([f"{shown:<{width}}  pass", f"{'ok.facets':<{width}}  pass"])
+    assert out.splitlines() == rows + ["2 file(s): 2 passed, 0 failed, 0 error(s)"]
+    report = json.loads((tmp_path / "reports" / f"{name}.report.json").read_text())
+    assert report["input"]["path"] == os.path.join(str(tmp_path), shown)
+
+
+@pytest.mark.parametrize(
+    "name, shown", [("a\nb.facets", r"a\x0ab.facets"), ("t\tab.facets", r"t\x09ab.facets")]
+)
+def test_check_reports_show_control_characters_escaped(tmp_path, capsys, name, shown):
+    control_file(tmp_path, name)
+    rc, doc, _ = run_json(capsys, "check", str(tmp_path / name), "--json")
+    assert rc == 0
+    assert doc["input"]["path"] == os.path.join(str(tmp_path), shown)
+    rc, out, _ = run(capsys, "check", str(tmp_path / name), "eulerian")
+    assert out.splitlines()[0] == f"input: file {os.path.join(str(tmp_path), shown)} (plain)"
+
+
+def test_paths_given_on_the_command_line_show_control_characters_escaped(tmp_path, capsys):
+    control_file(tmp_path, "a\nb.facets")
+    name = tmp_path / "a\nb.facets"
+    shown = os.path.join(str(tmp_path), r"a\x0ab.facets")
+    assert run(capsys, "gen", "polygon:4", "-o", str(name)) == (
+        0,
+        "",
+        f"wrote 4 facets (8 faces, dim 1) to {shown}\n",
+    )
+    assert run(capsys, "gen", "polygon:4", "-o", str(name / "x")) == (
+        2,
+        "",
+        f"error: {shown}/x: Not a directory\n",
+    )
+    assert run(capsys, "batch", str(name)) == (2, "", f"error: {shown}: not a directory\n")
