@@ -27,8 +27,6 @@ def display_path(path) -> str:
     not valid UTF-8 appear as backslash escapes such as \\xff, and control
     characters as \\xNN, such as \\x0a for a newline."""
     shown = os.fsencode(path).decode("utf-8", "backslashreplace")
-    if shown.isprintable():  # no control character: nothing more to escape
-        return shown
     return _CONTROL.sub(lambda m: f"\\x{ord(m.group()):02x}", shown)
 
 
