@@ -12,8 +12,8 @@ tuple () but is never stored in a complex.
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
+from itertools import chain, combinations, repeat, starmap
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -119,10 +119,21 @@ class SimplicialComplex:
     def from_indexed_facets(
         cls, facets: Iterable[Face], labels: Sequence[str]
     ) -> SimplicialComplex:
-        """Build from facets given as sorted id tuples over range(len(labels)).
+        """Build from facets given as strictly increasing id tuples over
+        range(len(labels)).
 
         Every vertex id must occur in some facet, so that the vertex table
-        and the 0-faces agree.
+        and the 0-faces agree.  Raises InputError unless the 0-faces are
+        exactly the ids 0..n-1 and every edge (a, b) has a < b; since each
+        face is closed downward through ``itertools.combinations``, which
+        keeps the input order, an unsorted or repeated id in any face shows
+        up in one of its edges.
+
+        The closure runs one level at a time, top down: level k is every
+        (k+1)-subset of every face one level up, generated by
+        ``combinations`` inside ``set``, and the input faces it does not
+        generate are exactly the facets of dimension k.  Each level's facets
+        are sorted there, so the facets come out in (dimension, lex) order.
         """
         table = VertexTable(labels)
         given: dict[int, set[Face]] = {}
@@ -130,24 +141,22 @@ class SimplicialComplex:
             if f:
                 given.setdefault(len(f) - 1, set()).add(tuple(f))
 
-        # Close downward one level at a time: level k is generated from the
-        # finished level above, and the input faces it does not generate are
-        # exactly the facets of dimension k.
         by_dim: dict[int, frozenset[Face]] = {}
-        maximal: list[Face] = []
+        maximal: list[list[Face]] = []
         above: frozenset[Face] = frozenset()
         for k in range(max(given, default=-1), -1, -1):
-            level = {face[:i] + face[i + 1 :] for face in above for i in range(len(face))}
+            level = set(chain.from_iterable(map(combinations, above, repeat(k + 1))))
             extra = given.get(k, set()) - level
-            maximal += extra
+            maximal.append(sorted(extra))
             level |= extra
             by_dim[k] = above = frozenset(level)
 
-        if len(by_dim.get(0, ())) != len(table):
-            raise InputError("every vertex in the table must occur in a face")
+        if by_dim.get(0, frozenset()) != set(zip(range(len(table)))):
+            raise InputError(f"faces must use each vertex id in range({len(table)}) and no other")
+        if not all(starmap(lt, by_dim.get(1, ()))):
+            raise InputError("every face must be a strictly increasing tuple of vertex ids")
 
-        maximal.sort(key=lambda f: (len(f), f))
-        return cls(by_dim, tuple(maximal), table)
+        return cls(by_dim, tuple(chain.from_iterable(reversed(maximal))), table)
 
     # -- elementary queries -------------------------------------------------
 
@@ -245,20 +254,31 @@ class SimplicialComplex:
         """Check that every clique of the 1-skeleton is a face.
 
         Works level by level: once all cliques of size s are known to be
-        faces, every clique of size s+1 extends a stored face by one
-        adjacent vertex.  The first failure found this way is a minimal
-        non-face clique, returned as the witness.  The top level ends the
-        test: a clique that extends a top-dimensional face is never a face.
+        faces, every clique of size s+1 extends a stored face, its prefix,
+        by one adjacent vertex above the face's last one.  So each level
+        first counts those extensions, one set intersection per face; when
+        the count equals the number of faces of size s+1, every clique of
+        that size is a face.  Only the first level whose count differs is
+        walked in sorted order, and its first extension that is not a face
+        is a minimal non-face clique, returned as the witness.  The top
+        level ends the test: a clique that extends a top-dimensional face is
+        never a face.
         """
         # Each edge (a, b) has a < b, so up[a] holds only the neighbours above a.
-        up: dict[int, set[int]] = defaultdict(set)
+        up: list[set[int]] = [set() for _ in self._table]
         for a, b in self.faces_of_dim(1):
             up[a].add(b)
 
+        def above(f: Face) -> set[int]:
+            return up[f[-1]].intersection(*map(up.__getitem__, f[:-1]))
+
         for k in range(1, self._dim + 1):
+            level = self.faces_of_dim(k)
+            if sum(map(len, map(above, level))) == self.f_count(k + 1):
+                continue
             larger = self.faces_of_dim(k + 1)
-            for f in sorted(self.faces_of_dim(k)):
-                for v in sorted(up[f[-1]].intersection(*(up[u] for u in f[:-1]))):
+            for f in sorted(level):
+                for v in sorted(above(f)):
                     clique = f + (v,)
                     if clique not in larger:
                         return CheckReport(

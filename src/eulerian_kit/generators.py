@@ -214,23 +214,43 @@ def disjoint_union(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComp
     return SimplicialComplex.from_indexed_facets(facets, _merge_labels(A, B))
 
 
+def _chain_positions(n: int) -> list[tuple[int, ...]]:
+    """The maximal chains of the subsets of range(n), one per ordering of
+    range(n), each as the positions of its subsets in the (size, lex) order
+    in which ``itertools.combinations`` yields them."""
+    subsets = [c for j in range(1, n + 1) for c in itertools.combinations(range(n), j)]
+    position = {c: i for i, c in enumerate(subsets)}
+    return [
+        tuple(position[tuple(sorted(perm[:j]))] for j in range(1, n + 1))
+        for perm in itertools.permutations(range(n))
+    ]
+
+
 def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     """Order complex of the face poset.
 
     One new vertex per nonempty face, labeled b{...} with the original ids;
     facets are the maximal chains, one per (facet, vertex ordering) pair.
+    The ids of a facet's 2^n - 1 faces are looked up once, in the (size,
+    lex) order of ``itertools.combinations``, and each chain picks its ids
+    from that list by a table of positions built once per facet size n in
+    this call (it holds n! tuples, so it is not kept between calls).
     """
     if K.is_empty():
         return K
     faces = list(K.faces())
-    face_ids = {face: i for i, face in enumerate(faces)}
+    face_id = {face: i for i, face in enumerate(faces)}.__getitem__
     labels = ["b{" + ".".join(map(str, face)) + "}" for face in faces]
+    chains: dict[int, list[tuple[int, ...]]] = {}
+    facets: list[tuple[int, ...]] = []
     # Ids follow (dimension, lex) order, so they increase along each chain.
-    facets = [
-        tuple(face_ids[tuple(sorted(perm[:j]))] for j in range(1, len(perm) + 1))
-        for facet in K.facets
-        for perm in itertools.permutations(facet)
-    ]
+    for facet in K.facets:
+        n = len(facet)
+        if n not in chains:
+            chains[n] = _chain_positions(n)
+        subfaces = map(itertools.combinations, itertools.repeat(facet), range(1, n + 1))
+        sub_id = list(map(face_id, itertools.chain.from_iterable(subfaces))).__getitem__
+        facets += [tuple(map(sub_id, c)) for c in chains[n]]
     return SimplicialComplex.from_indexed_facets(facets, labels)
 
 

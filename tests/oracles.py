@@ -36,17 +36,23 @@ def first_nonface_clique(facets):
     """The first clique of the 1-skeleton that is not a face, or None.
 
     Cliques are tried by size, then in lexicographic order of their sorted
-    vertex ids, with the faces taken from ``closure_of``.
+    vertex ids, with the faces taken from ``closure_of``.  The search stops
+    at the first size with no clique at all, since every larger clique
+    contains one of that size.
     """
     faces = closure_of(facets)
     ids = vertex_ids(facets)
     label = {i: v for v, i in ids.items()}
     for size in range(3, len(ids) + 1):
+        any_clique = False
         for clique in itertools.combinations(range(len(ids)), size):
             labels = [label[i] for i in clique]
-            is_clique = all(frozenset(e) in faces for e in itertools.combinations(labels, 2))
-            if is_clique and frozenset(labels) not in faces:
-                return clique
+            if all(frozenset(e) in faces for e in itertools.combinations(labels, 2)):
+                if frozenset(labels) not in faces:
+                    return clique
+                any_clique = True
+        if not any_clique:
+            break
     return None
 
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from eulerian_kit import InputError, SimplicialComplex, f_vector, is_eulerian
 from eulerian_kit import generators as gen
+from eulerian_kit.cli import parse_generator_expr
+from eulerian_kit.facetio import facet_rows
 
 import oracles
 
@@ -37,6 +39,22 @@ def test_empty_input_gives_empty_complex():
 def test_duplicate_vertex_in_facet_rejected():
     with pytest.raises(InputError):
         SimplicialComplex.from_facets([["a", "b", "a"]])
+
+
+@pytest.mark.parametrize(
+    "facets, labels",
+    [
+        ([(1, 2)], ["a", "b"]),  # id 2 is past the table and id 0 is unused
+        ([(-1, 0)], ["a", "b"]),
+        ([(1, 0)], ["a", "b"]),
+        ([(0, 0)], ["a"]),
+        ([(0, 2, 1), (3,)], ["a", "b", "c", "d"]),  # the inversion is not in the prefix
+        ([(0,)], ["a", "b"]),
+    ],
+)
+def test_indexed_facets_must_be_increasing_ids_over_the_whole_table(facets, labels):
+    with pytest.raises(InputError):
+        SimplicialComplex.from_indexed_facets(facets, labels)
 
 
 def test_whitespace_and_empty_labels_rejected():
@@ -244,12 +262,29 @@ def test_closure_and_facets_match_the_oracle(seed, max_size, extra):
 COMPLETE_GRAPH_EDGES = [[f"v{a}", f"v{b}"] for a, b in itertools.combinations(range(8), 2)]
 
 
+def expr_rows(text):
+    return facet_rows(gen.build(parse_generator_expr(text)))
+
+
+# After the complete graph: flag complexes of dimension 3, then complexes
+# whose first level with more cliques than faces is above the edges; the
+# last has two such levels, and only the lower one holds the witness.
 @given(
     rows=st.builds(
         random_rows, st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(0, 4)
     )
 )
 @example(rows=COMPLETE_GRAPH_EDGES)
+@example(rows=expr_rows("cross_polytope_boundary:4"))
+@example(rows=expr_rows("barycentric_subdivision(simplex_boundary:4)"))
+@example(rows=expr_rows("simplex_boundary:4"))
+@example(rows=expr_rows("join(simplex_boundary:6, simplex_boundary:6)"))
+@example(
+    rows=expr_rows(
+        "disjoint_union(cross_polytope_boundary:4,"
+        " disjoint_union(simplex_boundary:4, simplex_boundary:5))"
+    )
+)
 def test_flag_witness_matches_the_oracle(rows):
     report = SimplicialComplex.from_facets(rows).is_flag()
     want = oracles.first_nonface_clique(rows)

@@ -1,9 +1,12 @@
 """Canonical complexes and the complex-building operators."""
 
 import itertools
+import random
 from math import comb
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from eulerian_kit import (
     InputError,
@@ -249,6 +252,42 @@ def test_subdivision_counts_chains():
         1 for a in faces for b in faces for c in faces if a < b < c
     )
     assert f_vector(S) == [len(faces), n_chains_2, n_chains_3]
+
+
+def permutation_subdivision(K):
+    """The barycentric subdivision built with one sorted prefix per element
+    of every permutation of every facet: the reference for the subdivision."""
+    if K.is_empty():
+        return K
+    faces = list(K.faces())
+    face_ids = {face: i for i, face in enumerate(faces)}
+    labels = ["b{" + ".".join(map(str, face)) + "}" for face in faces]
+    facets = [
+        tuple(face_ids[tuple(sorted(perm[:j]))] for j in range(1, len(perm) + 1))
+        for facet in K.facets
+        for perm in itertools.permutations(facet)
+    ]
+    return SimplicialComplex.from_indexed_facets(facets, labels)
+
+
+@given(
+    K=st.builds(
+        lambda seed: SimplicialComplex.from_facets(oracles.random_facets(random.Random(seed))),
+        st.integers(0, 2**32 - 1),
+    )
+)
+@example(K=SimplicialComplex.from_facets([]))
+@example(K=SimplicialComplex.from_facets([["a"], ["b"], ["c"]]))
+@example(K=SimplicialComplex.from_facets([["a", "b", "c", "d"], ["d", "e"], ["f"]]))
+@example(K=gen.torus7())
+def test_subdivision_matches_the_permutation_construction(K):
+    S = gen.barycentric_subdivision(K)
+    want = permutation_subdivision(K)
+    assert S.facets == want.facets
+    assert S.vertex_table.labels == want.vertex_table.labels
+    assert S.dim == want.dim
+    for i in range(-1, want.dim + 2):
+        assert S.faces_of_dim(i) == want.faces_of_dim(i)
 
 
 def test_subdivision_preserves_eulerian_verdicts():
