@@ -1,6 +1,8 @@
 """Finite abstract simplicial complexes.
 
-A complex stores every nonempty face explicitly, bucketed by dimension.
+A complex stores every nonempty face explicitly, bucketed by dimension:
+either closed downward from a facet list, or handed over level by level by
+a construction that already knows its faces.
 Faces are tuples of dense vertex ids (strictly increasing); external string
 labels are interned in first-appearance order, so identical input always
 produces identical ids.  Instances are immutable after construction and safe
@@ -72,10 +74,12 @@ def _check_label(label: str) -> str:
 class SimplicialComplex:
     """Downward-closed set of nonempty faces over a dense vertex range.
 
-    Build instances with :meth:`from_facets` (string labels) or
-    :meth:`from_indexed_facets` (pre-assigned dense ids).  Both compute the
-    downward closure, absorb dominated input faces, and record the maximal
-    faces.  All query methods are read-only.
+    Build instances from a facet list with :meth:`from_facets` (string
+    labels) or :meth:`from_indexed_facets` (pre-assigned dense ids).  Both
+    compute the downward closure, absorb dominated input faces, and record
+    the maximal faces.  The generators that know every face of what they
+    build skip the closure and hand their levels to :meth:`_from_levels`.
+    All query methods are read-only.
     """
 
     __slots__ = ("_by_dim", "_facets", "_table", "_dim")
@@ -131,32 +135,48 @@ class SimplicialComplex:
 
         The closure runs one level at a time, top down: level k is every
         (k+1)-subset of every face one level up, generated by
-        ``combinations`` inside ``set``, and the input faces it does not
-        generate are exactly the facets of dimension k.  Each level's facets
-        are sorted there, so the facets come out in (dimension, lex) order.
+        ``combinations`` straight into a ``frozenset``, and the input faces
+        it does not generate are exactly the facets of dimension k.
         """
-        table = VertexTable(labels)
         given: dict[int, set[Face]] = {}
         for f in facets:
             if f:
                 given.setdefault(len(f) - 1, set()).add(tuple(f))
 
         by_dim: dict[int, frozenset[Face]] = {}
-        maximal: list[list[Face]] = []
+        maximal: list[Face] = []
         above: frozenset[Face] = frozenset()
         for k in range(max(given, default=-1), -1, -1):
-            level = set(chain.from_iterable(map(combinations, above, repeat(k + 1))))
+            level = frozenset(chain.from_iterable(map(combinations, above, repeat(k + 1))))
             extra = given.get(k, set()) - level
-            maximal.append(sorted(extra))
-            level |= extra
-            by_dim[k] = above = frozenset(level)
+            if extra:
+                maximal += extra
+                level = level.union(extra)
+            by_dim[k] = above = level
 
-        if by_dim.get(0, frozenset()) != set(zip(range(len(table)))):
-            raise InputError(f"faces must use each vertex id in range({len(table)}) and no other")
+        if by_dim.get(0, frozenset()) != set(zip(range(len(labels)))):
+            raise InputError(f"faces must use each vertex id in range({len(labels)}) and no other")
         if not all(starmap(lt, by_dim.get(1, ()))):
             raise InputError("every face must be a strictly increasing tuple of vertex ids")
 
-        return cls(by_dim, tuple(chain.from_iterable(reversed(maximal))), table)
+        return cls._from_levels(by_dim, maximal, labels)
+
+    @classmethod
+    def _from_levels(
+        cls, by_dim: dict[int, Iterable[Face]], facets: Iterable[Face], labels: Sequence[str]
+    ) -> SimplicialComplex:
+        """Internal: build from faces already closed downward.
+
+        ``by_dim`` maps each dimension 0..d to every face of that dimension
+        and ``facets`` holds the maximal faces, in any order; nothing is
+        checked.  The generators that know their faces call this directly,
+        so each face is made once instead of once per face above it.
+        """
+        return cls(
+            {k: frozenset(level) for k, level in by_dim.items()},
+            tuple(sorted(sorted(facets), key=len)),
+            VertexTable(labels),
+        )
 
     # -- elementary queries -------------------------------------------------
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import add
 
-from .complexes import SimplicialComplex
+from .complexes import Face, SimplicialComplex
 from .errors import ConstructionError, InputError
 from .invariants import f_vector
 
@@ -23,26 +24,33 @@ def simplex_boundary(n: int) -> SimplicialComplex:
     if n < 1:
         raise InputError(f"simplex_boundary needs n >= 1, got {n}")
     labels = [str(i) for i in range(n + 1)]
-    facets = list(itertools.combinations(range(n + 1), n))
-    return SimplicialComplex.from_indexed_facets(facets, labels)
+    levels = {k: frozenset(itertools.combinations(range(n + 1), k + 1)) for k in range(n)}
+    return SimplicialComplex._from_levels(levels, levels[n - 1], labels)
 
 
 def cross_polytope_boundary(n: int) -> SimplicialComplex:
     """Boundary of the n-dimensional cross-polytope.
 
     Vertices p_i, m_i for i = 1..n; faces are the subsets containing no
-    antipodal pair, so the facets pick one sign per axis.
+    antipodal pair, so the facets pick one sign per axis.  The faces are
+    built axis by axis: every face so far, extended by neither pole of the
+    next axis or by one of them.
     """
     if n < 1:
         raise InputError(f"cross_polytope_boundary needs n >= 1, got {n}")
     labels = []
     for i in range(1, n + 1):
         labels += [f"p{i}", f"m{i}"]
-    facets = [
-        tuple(2 * i + s for i, s in enumerate(signs))
-        for signs in itertools.product((0, 1), repeat=n)
-    ]
-    return SimplicialComplex.from_indexed_facets(facets, labels)
+    # by_size[s] holds the faces with s vertices; the poles of axis i are the
+    # ids 2i and 2i + 1, above every id so far, so the tuples stay sorted.
+    by_size: list[list[Face]] = [[()]]
+    for pole in range(0, 2 * n, 2):
+        by_size.append([])
+        for s in range(len(by_size) - 1, 0, -1):
+            by_size[s] += map(add, by_size[s - 1], itertools.repeat((pole,)))
+            by_size[s] += map(add, by_size[s - 1], itertools.repeat((pole + 1,)))
+    levels = {k: by_size[k + 1] for k in range(n)}
+    return SimplicialComplex._from_levels(levels, by_size[n], labels)
 
 
 def polygon(n: int) -> SimplicialComplex:
@@ -175,32 +183,50 @@ def _merge_labels(A: SimplicialComplex, B: SimplicialComplex):
     return labels
 
 
+def _shifted(faces, shift: int) -> list[Face]:
+    return [tuple(map(shift.__add__, f)) for f in faces]
+
+
+def _points(*labels: str) -> SimplicialComplex:
+    """The complex of isolated vertices with these labels."""
+    points = list(zip(range(len(labels))))
+    return SimplicialComplex._from_levels({0: points}, points, labels)
+
+
 def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
     """Join of two complexes over disjoint copies of their vertex sets.
 
     A keeps its ids; B's ids shift up by A's vertex count, and colliding B
-    labels take prime suffixes.
+    labels take prime suffixes.  The faces are the unions a + b of a face or
+    the empty face of each side, not both empty, each made once; the facets
+    are the unions of two facets.
     """
     if A.is_empty():
         return B
     if B.is_empty():
         return A
     shift = len(A.vertex_table)
-    # Shifted B ids all exceed A ids, so concatenation stays sorted.
-    facets = [
-        fa + tuple(v + shift for v in fb) for fa in A.facets for fb in B.facets
-    ]
-    return SimplicialComplex.from_indexed_facets(facets, _merge_labels(A, B))
+    # The faces of each side by size, the empty face as the one of size 0.
+    # Shifted B ids all exceed A ids, so a + b stays sorted.
+    a_faces = [[()], *map(A.faces_of_dim, range(A.dim + 1))]
+    b_faces = [[()], *(_shifted(B.faces_of_dim(j), shift) for j in range(B.dim + 1))]
+    levels = {}
+    for size in range(1, A.dim + B.dim + 3):
+        sizes = range(max(0, size - B.dim - 1), min(size, A.dim + 1) + 1)
+        pairs = (itertools.product(a_faces[i], b_faces[size - i]) for i in sizes)
+        levels[size - 1] = frozenset(itertools.starmap(add, itertools.chain.from_iterable(pairs)))
+    facets = itertools.starmap(add, itertools.product(A.facets, _shifted(B.facets, shift)))
+    return SimplicialComplex._from_levels(levels, facets, _merge_labels(A, B))
 
 
 def cone(K: SimplicialComplex) -> SimplicialComplex:
     """Join with a single new apex vertex."""
-    return join(K, SimplicialComplex.from_facets([["apex"]]))
+    return join(K, _points("apex"))
 
 
 def suspension(K: SimplicialComplex) -> SimplicialComplex:
     """Join with two new isolated vertices."""
-    return join(K, SimplicialComplex.from_facets([["apex0"], ["apex1"]]))
+    return join(K, _points("apex0", "apex1"))
 
 
 def disjoint_union(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
@@ -210,48 +236,48 @@ def disjoint_union(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComp
     if B.is_empty():
         return A
     shift = len(A.vertex_table)
-    facets = list(A.facets) + [tuple(v + shift for v in f) for f in B.facets]
-    return SimplicialComplex.from_indexed_facets(facets, _merge_labels(A, B))
-
-
-def _chain_positions(n: int) -> list[tuple[int, ...]]:
-    """The maximal chains of the subsets of range(n), one per ordering of
-    range(n), each as the positions of its subsets in the (size, lex) order
-    in which ``itertools.combinations`` yields them."""
-    subsets = [c for j in range(1, n + 1) for c in itertools.combinations(range(n), j)]
-    position = {c: i for i, c in enumerate(subsets)}
-    return [
-        tuple(position[tuple(sorted(perm[:j]))] for j in range(1, n + 1))
-        for perm in itertools.permutations(range(n))
-    ]
+    levels = {
+        k: A.faces_of_dim(k).union(_shifted(B.faces_of_dim(k), shift))
+        for k in range(max(A.dim, B.dim) + 1)
+    }
+    facets = [*A.facets, *_shifted(B.facets, shift)]
+    return SimplicialComplex._from_levels(levels, facets, _merge_labels(A, B))
 
 
 def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     """Order complex of the face poset.
 
     One new vertex per nonempty face, labeled b{...} with the original ids;
-    facets are the maximal chains, one per (facet, vertex ordering) pair.
-    The ids of a facet's 2^n - 1 faces are looked up once, in the (size,
-    lex) order of ``itertools.combinations``, and each chain picks its ids
-    from that list by a table of positions built once per facet size n in
-    this call (it holds n! tuples, so it is not kept between calls).
+    its faces are the chains of faces and its facets the maximal chains.
+    The chains are built one length at a time and grouped by their top
+    face: those of length s ending at a face are the chains of length s - 1
+    ending at its proper sub-faces, each extended by the face.  A chain is
+    maximal when it ends at a facet and is as long as the facet.  Only the
+    chains of two lengths are held in lists at a time.
     """
     if K.is_empty():
         return K
     faces = list(K.faces())
-    face_id = {face: i for i, face in enumerate(faces)}.__getitem__
     labels = ["b{" + ".".join(map(str, face)) + "}" for face in faces]
-    chains: dict[int, list[tuple[int, ...]]] = {}
-    facets: list[tuple[int, ...]] = []
     # Ids follow (dimension, lex) order, so they increase along each chain.
-    for facet in K.facets:
-        n = len(facet)
-        if n not in chains:
-            chains[n] = _chain_positions(n)
-        subfaces = map(itertools.combinations, itertools.repeat(facet), range(1, n + 1))
-        sub_id = list(map(face_id, itertools.chain.from_iterable(subfaces))).__getitem__
-        facets += [tuple(map(sub_id, c)) for c in chains[n]]
-    return SimplicialComplex.from_indexed_facets(facets, labels)
+    face_id = {face: i for i, face in enumerate(faces)}
+    # ends[face]: the chains of the current length whose top face is face.
+    ends = {face: [(i,)] for face, i in face_id.items()}
+    levels = {0: list(itertools.chain.from_iterable(ends.values()))}
+    facets = [(face_id[f],) for f in K.facets if len(f) == 1]
+    for size in range(2, K.dim + 2):
+        shorter, ends = ends, {}
+        for k in range(size - 1, K.dim + 1):
+            for face in K.faces_of_dim(k):
+                below = map(itertools.combinations, itertools.repeat(face), range(size - 1, k + 1))
+                chains = map(shorter.__getitem__, itertools.chain.from_iterable(below))
+                top = itertools.repeat((face_id[face],))
+                ends[face] = list(map(add, itertools.chain.from_iterable(chains), top))
+        del shorter
+        levels[size - 1] = frozenset(itertools.chain.from_iterable(ends.values()))
+        facets += itertools.chain.from_iterable(ends[f] for f in K.facets if len(f) == size)
+    del ends
+    return SimplicialComplex._from_levels(levels, facets, labels)
 
 
 # -- named access for the CLI -------------------------------------------------

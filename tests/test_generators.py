@@ -290,6 +290,111 @@ def test_subdivision_matches_the_permutation_construction(K):
         assert S.faces_of_dim(i) == want.faces_of_dim(i)
 
 
+def assert_same_as_closure(K):
+    """K equals the closure of its own facet list, face for face."""
+    want = SimplicialComplex.from_indexed_facets(K.facets, K.vertex_table.labels)
+    assert K.facets == want.facets
+    assert K.vertex_table.labels == want.vertex_table.labels
+    assert K.dim == want.dim
+    for i in range(-1, want.dim + 2):
+        assert K.faces_of_dim(i) == want.faces_of_dim(i)
+
+
+def build_checked(spec):
+    """Evaluate a spec tree, checking every complex it builds against the
+    closure.  An operator whose result would be large returns its first
+    argument instead, so that every tree stays small."""
+    fn, _, _ = gen.REGISTRY[spec.name]
+    args = [build_checked(a) for a in spec.args]
+    if spec.name == "barycentric_subdivision" and (args[0].dim > 3 or args[0].num_faces() > 100):
+        return args[0]
+    if spec.name == "join" and (args[0].num_faces() + 1) * (args[1].num_faces() + 1) > 5000:
+        return args[0]
+    K = fn(*spec.params, *args)
+    assert_same_as_closure(K)
+    return K
+
+
+_PARAMS = {
+    "simplex_boundary": st.integers(1, 4),
+    "cross_polytope_boundary": st.integers(1, 3),
+    "polygon": st.integers(3, 5),
+}
+
+
+def _spec_trees():
+    leaves = st.sampled_from(sorted(n for n, entry in gen.REGISTRY.items() if not entry[2]))
+    leaves = leaves.flatmap(
+        lambda name: st.tuples(*(_PARAMS[name] for _ in range(gen.REGISTRY[name][1]))).map(
+            lambda params: gen.GeneratorSpec(name, params)
+        )
+    )
+    operators = sorted(n for n, entry in gen.REGISTRY.items() if entry[2])
+
+    def applied(children):
+        return st.sampled_from(operators).flatmap(
+            lambda name: st.tuples(*[children] * gen.REGISTRY[name][2]).map(
+                lambda args: gen.GeneratorSpec(name, (), args)
+            )
+        )
+
+    return st.recursive(leaves, applied, max_leaves=4)
+
+
+_S = gen.GeneratorSpec
+_MIXED = _S("disjoint_union", (), (_S("simplex_boundary", (3,)), _S("polygon", (4,))))
+
+
+@given(spec=_spec_trees())
+@example(spec=_S("simplex_boundary", (1,)))
+@example(spec=_S("cross_polytope_boundary", (1,)))
+@example(spec=_MIXED)
+@example(spec=_S("join", (), (_MIXED, _S("torus7"))))
+@example(spec=_S("barycentric_subdivision", (), (_MIXED,)))
+def test_generated_levels_match_the_closure_of_the_facets(spec):
+    build_checked(spec)
+
+
+_small_complexes = st.one_of(
+    st.just(SimplicialComplex.from_facets([])),
+    st.builds(
+        lambda seed: SimplicialComplex.from_facets(
+            oracles.random_facets(random.Random(seed), max_vertices=7, max_facets=4, max_size=4)
+        ),
+        st.integers(0, 2**32 - 1),
+    ),
+)
+
+
+@given(K=_small_complexes, L=_small_complexes)
+@example(
+    K=SimplicialComplex.from_facets([["a", "b", "c", "d"], ["d", "e"], ["f"]]),
+    L=SimplicialComplex.from_facets([["x"], ["y", "z"]]),
+)
+def test_operators_on_facet_lists_match_the_closure(K, L):
+    for M in (gen.cone(K), gen.suspension(K), gen.join(K, L), gen.disjoint_union(K, L)):
+        assert_same_as_closure(M)
+    assert_same_as_closure(gen.barycentric_subdivision(K))
+
+
+def test_operators_and_polytopes_skip_the_closure(monkeypatch):
+    calls = []
+    closure = SimplicialComplex.from_indexed_facets.__func__
+
+    def counted(cls, facets, labels):
+        calls.append(labels)
+        return closure(cls, facets, labels)
+
+    monkeypatch.setattr(SimplicialComplex, "from_indexed_facets", classmethod(counted))
+    cone = _S("cone", (), (_S("simplex_boundary", (3,)),))
+    joined = _S("join", (), (cone, _S("cross_polytope_boundary", (2,))))
+    gen.build(_S("suspension", (), (_S("barycentric_subdivision", (), (joined,)),)))
+    assert calls == []
+    # A leaf given by its facet list still goes through the closure.
+    gen.build(_S("disjoint_union", (), (_S("polygon", (4,)), _S("simplex_boundary", (2,)))))
+    assert len(calls) == 1
+
+
 def test_subdivision_preserves_eulerian_verdicts():
     positives = [gen.simplex_boundary(3), gen.cross_polytope_boundary(2), gen.torus7()]
     for K in positives:
