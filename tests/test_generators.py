@@ -281,23 +281,20 @@ def permutation_subdivision(K):
 @example(K=SimplicialComplex.from_facets([["a", "b", "c", "d"], ["d", "e"], ["f"]]))
 @example(K=gen.torus7())
 def test_subdivision_matches_the_permutation_construction(K):
-    S = gen.barycentric_subdivision(K)
-    want = permutation_subdivision(K)
-    assert S.facets == want.facets
-    assert S.vertex_table.labels == want.vertex_table.labels
-    assert S.dim == want.dim
-    for i in range(-1, want.dim + 2):
-        assert S.faces_of_dim(i) == want.faces_of_dim(i)
+    assert_same_complex(gen.barycentric_subdivision(K), permutation_subdivision(K))
 
 
-def assert_same_as_closure(K):
-    """K equals the closure of its own facet list, face for face."""
-    want = SimplicialComplex.from_indexed_facets(K.facets, K.vertex_table.labels)
+def assert_same_complex(K, want):
     assert K.facets == want.facets
     assert K.vertex_table.labels == want.vertex_table.labels
     assert K.dim == want.dim
     for i in range(-1, want.dim + 2):
         assert K.faces_of_dim(i) == want.faces_of_dim(i)
+
+
+def assert_same_as_closure(K):
+    """K equals the closure of its own facet list, face for face."""
+    assert_same_complex(K, SimplicialComplex.from_indexed_facets(K.facets, K.vertex_table.labels))
 
 
 def build_checked(spec):
