@@ -450,7 +450,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_info.add_argument("operands", nargs="*", metavar="PATH", help="facet file (plain or json)")
     _add_input_args(p_info)
     p_info.add_argument("--json", action="store_true", help="emit a JSON report document")
-    p_info.set_defaults(func=cmd_info)
 
     p_check = sub.add_parser("check", help="run theorem checks and report exactly")
     p_check.add_argument(
@@ -465,13 +464,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--exhaustive", action="store_true", help="collect every failure, not just the first"
     )
     p_check.add_argument("--json", action="store_true", help="emit a JSON report document")
-    p_check.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("gen", help="write a generator's facets to a file")
     p_gen.add_argument("expr", help="generator expression, e.g. 'suspension(torus7)'")
     p_gen.add_argument("-o", "--output", required=True, help="output path")
     p_gen.add_argument("--format", choices=FORMATS, default="plain", help="output format")
-    p_gen.set_defaults(func=cmd_gen)
 
     p_batch = sub.add_parser("batch", help="check every facet file in a directory")
     p_batch.add_argument("dir", help="directory of .facets/.txt/.json files")
@@ -486,15 +483,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "-o", "--out", help="directory for per-file JSON reports (default: DIR/reports)"
     )
-    p_batch.set_defaults(func=cmd_batch)
     return parser
 
 
+# built by the first main() call and reused by every later one in the process:
+# parse_args returns a fresh Namespace each time, and help and usage read the
+# terminal width when they are printed
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_arg_parser()
+    args = _parser.parse_args(argv)
+    # cmd_<command> is looked up at each call, not bound into the cached
+    # parser, so a wrapper installed on it later (perfbench's tracer) still runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -95,9 +95,11 @@ class SimplicialComplex:
     def from_facets(cls, facets: Iterable[Sequence[str]]) -> SimplicialComplex:
         """Build the downward closure of label-valued facets.
 
-        Labels are interned in first-appearance order.  Empty rows are
-        skipped; dominated and duplicate facets are absorbed silently.
-        Raises InputError on a repeated label within one facet.
+        Labels are interned in first-appearance order, and each is checked
+        once, when first seen.  Empty rows are skipped; dominated and
+        duplicate facets are absorbed silently.  Raises InputError on a
+        token that is not a nonempty str, on whitespace or a lone surrogate
+        in a label, and on a repeated label within one facet.
         """
         labels: list[str] = []
         index: dict[str, int] = {}
@@ -107,11 +109,12 @@ class SimplicialComplex:
                 continue
             ids = []
             for tok in row:
-                _check_label(tok)
-                vid = index.get(tok)
+                # only a label not seen before is checked; a token that is not
+                # a str is never seen, so it is checked before any dict lookup
+                vid = index.get(tok) if isinstance(tok, str) else None
                 if vid is None:
                     vid = len(labels)
-                    index[tok] = vid
+                    index[_check_label(tok)] = vid
                     labels.append(tok)
                 ids.append(vid)
             if len(set(ids)) != len(ids):

@@ -90,7 +90,11 @@ def read_facets(path, fmt: str | None = None) -> list[list[str]]:
 
 
 def load_complex(path, fmt: str | None = None) -> SimplicialComplex:
-    return SimplicialComplex.from_facets(read_facets(path, fmt))
+    rows = read_facets(path, fmt)
+    try:
+        return SimplicialComplex.from_facets(rows)
+    except InputError as e:  # a bad label, or a vertex repeated in a JSON facet
+        raise InputError(f"{display_path(path)}: {e}") from None
 
 
 def facet_rows(K: SimplicialComplex) -> list[list[str]]:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulerian_kit
+from eulerian_kit import cli
 from eulerian_kit.cli import (
     CHECK_NAMES,
     MAX_NESTING,
@@ -420,7 +421,24 @@ def test_lone_surrogate_label_is_an_input_error(tmp_path, capsys):
     rc, out, err = run(capsys, "check", str(path), "eulerian")
     assert rc == 2
     assert out == ""
-    assert err == "error: vertex label '\\ud800' is not valid Unicode\n"
+    assert err == f"error: {path}: vertex label '\\ud800' is not valid Unicode\n"
+
+
+@pytest.mark.parametrize(
+    "facets, message",
+    [
+        ('[["a b", "c"]]', "vertex label 'a b' contains whitespace"),
+        ('[["a"], ["", "c"]]', "vertex label must be a nonempty string, got ''"),
+        ('[["a", "b", "a"]]', "facet ['a', 'b', 'a'] repeats a vertex"),
+    ],
+)
+def test_json_label_errors_name_the_file(tmp_path, capsys, facets, message):
+    path = tmp_path / "bad.json"
+    path.write_text('{"facets": %s}' % facets)
+    assert run(capsys, "info", str(path)) == (2, "", f"error: {path}: {message}\n")
+    rc, out, _ = run(capsys, "batch", str(tmp_path))
+    assert rc == 2
+    assert out.splitlines()[0].split(None, 2) == ["bad.json", "error", f"{path}: {message}"]
 
 
 def test_batch_all_unreadable_exits_2(tmp_path, capsys):
@@ -686,3 +704,57 @@ def test_paths_given_on_the_command_line_show_control_characters_escaped(tmp_pat
         f"error: {shown}/x: Not a directory\n",
     )
     assert run(capsys, "batch", str(name)) == (2, "", f"error: {shown}: not a directory\n")
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, monkeypatch):
+    """main builds its parser once; every call prints what a fresh parser's
+    call prints, usage errors and help included, and help follows COLUMNS."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    hexagon = corpus / "hex.facets"
+    hexagon.write_text("".join(f"{i} {(i + 1) % 6}\n" for i in range(6)))
+    sequence = [
+        ("80", "check", str(hexagon), "--json"),
+        ("80", "check", str(hexagon)),
+        ("80", "info", "--gen", "suspension(torus7)"),
+        ("80", "gen", "simplex_boundary:3", "-o", str(tmp_path / "sb3.facets")),
+        ("80", "batch", str(corpus), "-o", str(tmp_path / "reports")),
+        ("80", "check", "--no-such-option"),
+        ("80", "--help"),
+        ("44", "check", "--help"),
+        ("44", "info", "--json", "--format"),
+    ]
+
+    def outcome(columns, *argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(list(argv))
+            except SystemExit as e:
+                rc = f"SystemExit({e.code})"
+        return rc, out.getvalue(), err.getvalue()
+
+    fresh = []
+    for call in sequence:
+        monkeypatch.setattr(cli, "_parser", None, raising=False)
+        fresh.append(outcome(*call))
+    assert [rc for rc, _, _ in fresh] == [
+        0, 0, 0, 0, 0, "SystemExit(2)", "SystemExit(0)", "SystemExit(0)", "SystemExit(2)"
+    ]
+    assert fresh[5][2].startswith("usage: eulerian-kit [-h]")
+    assert "unrecognized arguments: --no-such-option" in fresh[5][2]
+    assert fresh[6][1].startswith("usage: eulerian-kit [-h]")
+    assert fresh[7][1] != outcome("80", "check", "--help")[1]  # the width shows
+
+    built = []
+    real = cli.build_arg_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_arg_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    assert [outcome(*call) for call in sequence] == fresh
+    assert len(built) == 1

@@ -64,6 +64,23 @@ def test_whitespace_and_empty_labels_rejected():
         SimplicialComplex.from_facets([["", "c"]])
 
 
+@pytest.mark.parametrize(
+    "facets",
+    [
+        [[1, "b"]],
+        [[["a"], "b"]],  # unhashable: a dict lookup would raise TypeError
+        [[None]],
+        [["a", "b"], ["b", 2]],  # first seen in a later row
+        [["a", "b"], ["b", ["c"]]],
+        [["a", "b"], ["b", "c d"]],
+        [["a", "b"], ["", "a"]],
+    ],
+)
+def test_bad_tokens_rejected_wherever_they_first_appear(facets):
+    with pytest.raises(InputError, match="vertex label"):
+        SimplicialComplex.from_facets(facets)
+
+
 def test_lone_surrogate_label_rejected():
     with pytest.raises(InputError, match="not valid Unicode"):
         SimplicialComplex.from_facets([["\ud800"]])
