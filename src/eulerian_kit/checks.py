@@ -79,7 +79,6 @@ def is_eulerian(K: SimplicialComplex, exhaustive: bool = False) -> CheckReport:
     """
     if K.is_empty():
         return CheckReport(
-            kind="eulerian",
             holds=False,
             witness="empty complex",
             values={"reason": "empty complex"},
@@ -103,11 +102,10 @@ def is_eulerian(K: SimplicialComplex, exhaustive: bool = False) -> CheckReport:
                 break
 
     if not failures:
-        return CheckReport(kind="eulerian", holds=True, values={"faces_checked": K.num_faces()})
+        return CheckReport(holds=True, values={"faces_checked": K.num_faces()})
     first = failures[0]
     values = {k: v for k, v in first.items() if k not in ("face", "kind")}
     return CheckReport(
-        kind="eulerian",
         holds=False,
         witness=first["face"],
         values={"reason": first["kind"], **values},
@@ -133,7 +131,6 @@ def ds_residuals(K: SimplicialComplex) -> tuple[list[DSResidualRow], CheckReport
     ]
     failing = [r.i for r in rows if not r.holds]
     report = CheckReport(
-        kind="dehn_sommerville",
         holds=not failing,
         witness=failing[0] if failing else None,
         values={"chi": chi, "sphere_chi": sphere_chi(d - 1), "deviation": deviation},
@@ -161,7 +158,6 @@ def check_main_formula(K: SimplicialComplex) -> CheckReport:
     scaled_rhs = sum((-1) ** i * 2 ** (dim - i) * n for i, n in enumerate(fv))
     holds = scaled_lhs == scaled_rhs
     return CheckReport(
-        kind="main_formula",
         holds=holds,
         witness=None if holds else f"chi {chi} != sum {rhs}",
         values={
@@ -203,7 +199,6 @@ def proof_trace(K: SimplicialComplex) -> CheckReport:
     holds = all(components.values())
     failed = [name for name, ok in components.items() if not ok]
     return CheckReport(
-        kind="proof_trace",
         holds=holds,
         witness=None if holds else failed[0],
         values={"A": a, "B": b, "C": c, "P": p, **components},

@@ -78,18 +78,20 @@ class SimplicialComplex:
     labels) or :meth:`from_indexed_facets` (pre-assigned dense ids).  Both
     compute the downward closure, absorb dominated input faces, and record
     the maximal faces.  The generators that know every face of what they
-    build skip the closure and hand their levels to :meth:`_from_levels`.
-    All query methods are read-only.
+    build skip the closure and hand their levels to :meth:`_from_levels`;
+    those whose output is flag by construction say so there, and
+    :meth:`is_flag` then needs no walk.  All query methods are read-only.
     """
 
-    __slots__ = ("_by_dim", "_facets", "_table", "_dim")
+    __slots__ = ("_by_dim", "_facets", "_table", "_dim", "_flag")
 
-    def __init__(self, by_dim, facets, table):
+    def __init__(self, by_dim, facets, table, flag=False):
         # Internal: use the from_* classmethods.
         self._by_dim: dict[int, frozenset[Face]] = by_dim
         self._facets: tuple[Face, ...] = facets
         self._table: VertexTable = table
         self._dim: int = max(by_dim) if by_dim else -1
+        self._flag: bool = flag
 
     @classmethod
     def from_facets(cls, facets: Iterable[Sequence[str]]) -> SimplicialComplex:
@@ -166,19 +168,27 @@ class SimplicialComplex:
 
     @classmethod
     def _from_levels(
-        cls, by_dim: dict[int, Iterable[Face]], facets: Iterable[Face], labels: Sequence[str]
+        cls,
+        by_dim: dict[int, Iterable[Face]],
+        facets: Iterable[Face],
+        labels: Sequence[str],
+        flag: bool = False,
     ) -> SimplicialComplex:
         """Internal: build from faces already closed downward.
 
         ``by_dim`` maps each dimension 0..d to every face of that dimension
         and ``facets`` holds the maximal faces, in any order; nothing is
         checked.  The generators that know their faces call this directly,
-        so each face is made once instead of once per face above it.
+        so each face is made once instead of once per face above it.  A
+        caller that knows every clique of the 1-skeleton is a face passes
+        ``flag=True``, and :meth:`is_flag` then holds without a walk; the
+        mark is not checked either.
         """
         return cls(
             {k: frozenset(level) for k, level in by_dim.items()},
             tuple(sorted(sorted(facets), key=len)),
             VertexTable(labels),
+            flag,
         )
 
     # -- elementary queries -------------------------------------------------
@@ -270,8 +280,11 @@ class SimplicialComplex:
     # -- structural predicates ----------------------------------------------
 
     def is_pure(self) -> bool:
-        """True when all facets share the top dimension (vacuous if empty)."""
-        return all(len(f) - 1 == self._dim for f in self._facets)
+        """True when all facets share the top dimension (vacuous if empty).
+
+        The facets are sorted by dimension, so the first has the least.
+        """
+        return not self._facets or len(self._facets[0]) - 1 == self._dim
 
     def is_flag(self) -> CheckReport:
         """Check that every clique of the 1-skeleton is a face.
@@ -286,7 +299,15 @@ class SimplicialComplex:
         is a minimal non-face clique, returned as the witness.  The top
         level ends the test: a clique that extends a top-dimensional face is
         never a face.
+
+        A complex built with the flag mark (see :meth:`_from_levels`) holds
+        at once, with no walk: the barycentric subdivision, whose cliques
+        are chains of faces, and the cross-polytope boundary, whose only
+        minimal non-faces are antipodal edges.  Every other complex is
+        walked.
         """
+        if self._flag:
+            return CheckReport(holds=True)
         # Each edge (a, b) has a < b, so up[a] holds only the neighbours above a.
         up: list[set[int]] = [set() for _ in self._table]
         for a, b in self.faces_of_dim(1):
@@ -305,12 +326,11 @@ class SimplicialComplex:
                     clique = f + (v,)
                     if clique not in larger:
                         return CheckReport(
-                            kind="flag",
                             holds=False,
                             witness=clique,
                             values={"witness_labels": self.labels_of(clique)},
                         )
-        return CheckReport(kind="flag", holds=True)
+        return CheckReport(holds=True)
 
     def __repr__(self) -> str:
         return (

@@ -35,6 +35,9 @@ def cross_polytope_boundary(n: int) -> SimplicialComplex:
     antipodal pair, so the facets pick one sign per axis.  The faces are
     built axis by axis: every face so far, extended by neither pole of the
     next axis or by one of them.
+
+    The result is marked flag: its only minimal non-faces are the antipodal
+    edges, so a clique, which contains no antipodal pair, is a face.
     """
     if n < 1:
         raise InputError(f"cross_polytope_boundary needs n >= 1, got {n}")
@@ -50,7 +53,7 @@ def cross_polytope_boundary(n: int) -> SimplicialComplex:
             by_size[s] += map(add, by_size[s - 1], itertools.repeat((pole,)))
             by_size[s] += map(add, by_size[s - 1], itertools.repeat((pole + 1,)))
     levels = {k: by_size[k + 1] for k in range(n)}
-    return SimplicialComplex._from_levels(levels, by_size[n], labels)
+    return SimplicialComplex._from_levels(levels, by_size[n], labels, flag=True)
 
 
 def polygon(n: int) -> SimplicialComplex:
@@ -254,6 +257,10 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     ending at its proper sub-faces, each extended by the face.  A chain is
     maximal when it ends at a facet and is as long as the facet.  Only the
     chains of two lengths are held in lists at a time.
+
+    The result is marked flag: vertices are adjacent exactly when their
+    faces are comparable, so a clique is a set of pairwise comparable
+    faces, which is a chain.  (The empty complex comes back unchanged.)
     """
     if K.is_empty():
         return K
@@ -277,7 +284,7 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
         levels[size - 1] = frozenset(itertools.chain.from_iterable(ends.values()))
         facets += itertools.chain.from_iterable(ends[f] for f in K.facets if len(f) == size)
     del ends
-    return SimplicialComplex._from_levels(levels, facets, labels)
+    return SimplicialComplex._from_levels(levels, facets, labels, flag=True)
 
 
 # -- named access for the CLI -------------------------------------------------

@@ -23,16 +23,16 @@ class DSResidualRow:
 
 @dataclass
 class CheckReport:
-    """Outcome of one audit.
+    """Outcome of one audit: Eulerian, Dehn-Sommerville, main formula,
+    proof trace or flag.
 
-    kind is one of eulerian, dehn_sommerville, main_formula, proof_trace,
-    flag.  When holds is False, witness identifies the first failure in
-    canonical order (a face tuple, a row index, or a marker string) and
-    values carries the exact quantities involved.  failures is populated
-    only in exhaustive mode.
+    When holds is False, witness identifies the first failure in canonical
+    order (a face tuple, a row index, or a marker string) and values
+    carries the exact quantities involved.  failures lists every failure:
+    the failing faces of an exhaustive Eulerian audit, or the failing
+    Dehn-Sommerville row indices; it is empty otherwise.
     """
 
-    kind: str
     holds: bool
     witness: object = None
     values: dict = field(default_factory=dict)

@@ -131,7 +131,6 @@ def per_face_link_audit(K):
     (dimension, lexicographic) order: the reference for the sweep."""
     if K.is_empty():
         return CheckReport(
-            kind="eulerian",
             holds=False,
             witness="empty complex",
             values={"reason": "empty complex"},
@@ -148,11 +147,10 @@ def per_face_link_audit(K):
         if got != want:
             failures.append({"face": sigma, "kind": "bad_link", "chi_link": got, "expected": want})
     if not failures:
-        return CheckReport(kind="eulerian", holds=True, values={"faces_checked": K.num_faces()})
+        return CheckReport(holds=True, values={"faces_checked": K.num_faces()})
     first = failures[0]
     values = {k: v for k, v in first.items() if k not in ("face", "kind")}
     return CheckReport(
-        kind="eulerian",
         holds=False,
         witness=first["face"],
         values={"reason": first["kind"], **values},

@@ -196,6 +196,28 @@ def test_is_pure():
     assert SimplicialComplex.from_facets([]).is_pure()
 
 
+def _random_complex(seed):
+    return SimplicialComplex.from_facets(oracles.random_facets(random.Random(seed)))
+
+
+@given(
+    K=st.one_of(
+        st.builds(_random_complex, st.integers(0, 2**32 - 1)),
+        st.builds(
+            gen.disjoint_union,
+            st.builds(_random_complex, st.integers(0, 2**32 - 1)),
+            st.builds(_random_complex, st.integers(0, 2**32 - 1)),
+        ),
+    )
+)
+@example(K=SimplicialComplex.from_facets([]))
+@example(K=gen.disjoint_union(gen.polygon(4), gen.simplex_boundary(3)))
+@example(K=gen.disjoint_union(gen.simplex_boundary(3), gen.polygon(4)))
+@example(K=gen.disjoint_union(gen.simplex_boundary(3), gen.cross_polytope_boundary(3)))
+def test_is_pure_matches_every_facet_dimension(K):
+    assert K.is_pure() is all(len(f) - 1 == K.dim for f in K.facets)
+
+
 def test_flag_tetra_boundary_has_k4_witness():
     rep = gen.simplex_boundary(3).is_flag()
     assert not rep.holds

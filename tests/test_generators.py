@@ -297,18 +297,28 @@ def assert_same_as_closure(K):
     assert_same_complex(K, SimplicialComplex.from_indexed_facets(K.facets, K.vertex_table.labels))
 
 
-def build_checked(spec):
-    """Evaluate a spec tree, checking every complex it builds against the
-    closure.  An operator whose result would be large returns its first
-    argument instead, so that every tree stays small."""
+def assert_mark_holds(K):
+    """A complex marked flag passes the clique walk when built again without
+    the mark, and, when it is small, the brute-force clique search."""
+    if not K._flag:
+        return
+    assert SimplicialComplex.from_indexed_facets(K.facets, K.vertex_table.labels).is_flag().holds
+    if len(K.vertex_table) <= 14:
+        assert oracles.first_nonface_clique(map(K.labels_of, K.facets)) is None
+
+
+def build_checked(spec, check=assert_same_as_closure):
+    """Evaluate a spec tree, calling check on every complex it builds.  An
+    operator whose result would be large returns its first argument
+    instead, so that every tree stays small."""
     fn, _, _ = gen.REGISTRY[spec.name]
-    args = [build_checked(a) for a in spec.args]
+    args = [build_checked(a, check) for a in spec.args]
     if spec.name == "barycentric_subdivision" and (args[0].dim > 3 or args[0].num_faces() > 100):
         return args[0]
     if spec.name == "join" and (args[0].num_faces() + 1) * (args[1].num_faces() + 1) > 5000:
         return args[0]
     K = fn(*spec.params, *args)
-    assert_same_as_closure(K)
+    check(K)
     return K
 
 
@@ -372,6 +382,40 @@ def test_operators_on_facet_lists_match_the_closure(K, L):
     for M in (gen.cone(K), gen.suspension(K), gen.join(K, L), gen.disjoint_union(K, L)):
         assert_same_as_closure(M)
     assert_same_as_closure(gen.barycentric_subdivision(K))
+
+
+@given(spec=_spec_trees())
+@example(spec=_S("barycentric_subdivision", (), (_MIXED,)))
+@example(spec=_S("join", (), (_S("simplex_boundary", (2,)), _S("cross_polytope_boundary", (2,)))))
+def test_every_marked_complex_of_a_tree_is_flag(spec):
+    build_checked(spec, assert_mark_holds)
+
+
+@given(K=_small_complexes)
+@example(K=SimplicialComplex.from_facets([["a", "b", "c", "d"], ["d", "e"], ["f"]]))
+@example(K=gen.torus7())
+def test_subdivisions_are_marked_and_flag(K):
+    M = gen.barycentric_subdivision(K)
+    assert M._flag or K.is_empty()
+    assert_mark_holds(M)
+
+
+def test_marked_complexes_skip_the_walk(monkeypatch):
+    marked = [
+        gen.barycentric_subdivision(gen.barycentric_subdivision(gen.simplex_boundary(3))),
+        gen.cross_polytope_boundary(5),
+    ]
+    square = gen.polygon(4)
+
+    def no_levels(self, i):
+        raise AssertionError("is_flag read a face level")
+
+    monkeypatch.setattr(SimplicialComplex, "faces_of_dim", no_levels)
+    for K in marked:
+        assert K.is_flag().holds
+    # an unmarked complex is still walked
+    with pytest.raises(AssertionError, match="face level"):
+        square.is_flag()
 
 
 def test_operators_and_polytopes_skip_the_closure(monkeypatch):
