@@ -24,7 +24,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 FILES = {"nonpure.facets": "a b c\nc d\nd e f g\n", "empty.facets": ""}
 
-# golden file name -> (expected exit code, argv)
+# golden file name -> (expected exit code, argv[, pinned output]).  The file
+# pins stdout unless the case names "stderr" or a file the command writes;
+# stderr is empty unless it is pinned, and stdout is empty when it is.
 CASES = {
     "suspension_torus7_exhaustive.txt": (
         1, ["check", "--gen", "suspension(torus7)", "--all", "--exhaustive"]
@@ -50,16 +52,46 @@ CASES = {
          "--json"],
     ),
     "info_join_torus7_polygon4.txt": (0, ["info", "--gen", "join(torus7, polygon:4)"]),
+    "help.txt": (0, ["--help"]),
+    "info_help.txt": (0, ["info", "--help"]),
+    "check_help.txt": (0, ["check", "--help"]),
+    "batch_help.txt": (0, ["batch", "--help"]),
+    "unknown_check.err": (2, ["check", "--gen", "torus7", "bogus"], "stderr"),
+    "polygon6_proof_strict.err": (2, ["check", "--gen", "polygon:6", "proof"], "stderr"),
+    "empty_ds_strict.err": (2, ["check", "empty.facets", "ds"], "stderr"),
+    "batch_fixtures.txt": (1, ["batch", "."]),
+    "batch_fixtures_nonpure.report.json": (
+        1, ["batch", "."], "reports/nonpure.facets.report.json"
+    ),
 }
 COLOR_CASE = "suspension_torus7_color.txt"
+# the terminal width --help is laid out for
+HELP_COLUMNS = "80"
 
 
 def run(argv):
-    """Run the CLI in-process in the current directory; return (code, stdout, stderr)."""
+    """Run the CLI in-process in the current directory; return (code, stdout, stderr).
+    argparse's exit (help, usage errors) is caught and its code returned."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
     return rc, out.getvalue(), err.getvalue()
+
+
+def pinned_output(name):
+    """Run a case in the current directory; return (code, pinned output, the
+    stream that should be empty)."""
+    _, argv, *pinned = CASES[name]
+    rc, out, err = run(argv)
+    pinned = pinned[0] if pinned else "stdout"
+    if pinned == "stdout":
+        return rc, out, err
+    if pinned == "stderr":
+        return rc, err, out
+    return rc, Path(pinned).read_text(encoding="utf-8"), err
 
 
 def colored_report():
@@ -77,14 +109,14 @@ def write_fixtures(directory):
 def fixture_dir(tmp_path, monkeypatch):
     write_fixtures(tmp_path)
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", HELP_COLUMNS)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(fixture_dir, name):
-    want_rc, argv = CASES[name]
-    rc, out, err = run(argv)
-    assert (rc, err) == (want_rc, "")
-    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+    rc, pinned, empty = pinned_output(name)
+    assert (rc, empty) == (CASES[name][0], "")
+    assert pinned == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def test_colored_text_matches_golden():
@@ -94,15 +126,16 @@ def test_colored_text_matches_golden():
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     outputs = {COLOR_CASE: colored_report()}
-    with tempfile.TemporaryDirectory() as tmp:
-        here = os.getcwd()
-        write_fixtures(tmp)
-        os.chdir(tmp)
-        try:
-            for name, (_, argv) in CASES.items():
-                outputs[name] = run(argv)[1]
-        finally:
-            os.chdir(here)
+    os.environ["COLUMNS"] = HELP_COLUMNS
+    here = os.getcwd()
+    for name in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            write_fixtures(tmp)
+            os.chdir(tmp)
+            try:
+                outputs[name] = pinned_output(name)[1]
+            finally:
+                os.chdir(here)
     for name, text in outputs.items():
         (GOLDEN / name).write_text(text, encoding="utf-8")
         print(f"wrote {GOLDEN / name}", file=sys.stderr)
