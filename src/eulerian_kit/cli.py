@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,8 +26,6 @@ from .generators import GeneratorSpec, build
 from .invariants import euler_characteristic, f_vector, h_vector
 
 SCHEMA_VERSION = 1
-THEOREM_CHECKS = ("eulerian", "ds", "formula", "proof")
-CHECK_NAMES = THEOREM_CHECKS + ("flag",)
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT = re.compile(r"-?[0-9]+")
@@ -114,18 +113,61 @@ def _exact(K, value):
 
 
 def _section(K, rep, *keys):
-    """The named fields of a CheckReport, in this order, encoded by _exact."""
+    """(holds, the named fields of a CheckReport in this order, encoded by _exact)."""
     fields = {"holds": rep.holds, "witness": rep.witness, **rep.values}
-    return {key: _exact(K, fields[key]) for key in keys}
+    return rep.holds, {key: _exact(K, fields[key]) for key in keys}
+
+
+def _nonempty(K):
+    return "empty complex" if K.is_empty() else None
+
+
+def _eulerian(K, exhaustive):
+    rep = is_eulerian(K, exhaustive=exhaustive)
+    holds, section = _section(K, rep, "holds", "witness")
+    if not holds:
+        detail = {k: v for k, v in rep.values.items() if k != "complex_dim"}
+        section["detail"] = _exact(K, detail)
+    if rep.failures:
+        section["failures"] = _exact(K, rep.failures)
+    return holds, section
+
+
+def _ds(K, exhaustive):
+    rows, rep = ds_residuals(K)
+    return rep.holds, _exact(
+        K, [{"i": r.i, "lhs": r.lhs, "rhs": r.rhs, "holds": r.holds} for r in rows]
+    )
+
+
+# One row per check, in report order: selection name, document key, unmet(K)
+# (why its precondition fails, or None), run(K, exhaustive) -> (holds, section)
+# and when it gates: "always", "even" (in even dimension) or "named" (only when
+# named; it is then informational and runs only when named).  Runners look their
+# check up in this module when they run, so a wrapper installed later still runs.
+Check = namedtuple("Check", "name key unmet run gates")
+CHECKS = (
+    Check("flag", "is_flag", lambda K: None,
+          lambda K, _: _section(K, K.is_flag(), "holds", "witness"), "named"),
+    Check("eulerian", "is_eulerian", lambda K: None, _eulerian, "always"),
+    Check("ds", "ds_rows", _nonempty, _ds, "always"),
+    Check("formula", "main_formula", _nonempty, lambda K, _: _section(K, check_main_formula(K),
+          "lhs", "rhs", "scaled_lhs", "scaled_rhs", "holds", "parity_warning"), "even"),
+    Check("proof", "proof_trace",
+          lambda K: _nonempty(K) or (f"dimension {K.dim} is odd" if K.dim % 2 else None),
+          lambda K, _: _section(K, proof_trace(K), "A", "B", "C", "P", "holds"), "always"),
+)
+THEOREM_CHECKS = tuple(c.name for c in CHECKS if c.gates != "named")
+CHECK_NAMES = THEOREM_CHECKS + tuple(c.name for c in CHECKS if c.gates == "named")
+CHOICES = CHECK_NAMES + ("all",)
 
 
 def build_document(K, provenance, include, exhaustive=False, strict=()):
     """Assemble a ReportDocument dict and the verdict of each check that ran.
 
-    A verdict is True or False, or None for an informational result that
-    does not gate: flag, and an odd-dimensional formula, unless named in
-    strict.  Checks named in strict raise InputError when their
-    preconditions fail; the rest are recorded under "skipped" instead.
+    The rows of CHECKS named in include run in table order.  A verdict is
+    True or False, or None where the row does not gate; checks named in
+    strict gate, and raise InputError where their preconditions fail.
     """
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -140,49 +182,15 @@ def build_document(K, provenance, include, exhaustive=False, strict=()):
     }
     verdicts = {}
     skipped = {}
-    empty = "empty complex" if K.is_empty() else None
-
-    def runs(name, unmet=None):
-        """Whether the check is selected and runs; unmet says why its
-        precondition fails, if it does."""
-        if name in include and unmet:
-            if name in strict:
-                raise InputError(f"check {name!r}: {unmet}")
-            skipped[name] = unmet
-        return name in include and not unmet
-
-    if runs("flag"):
-        rep = K.is_flag()
-        doc["is_flag"] = _section(K, rep, "holds", "witness")
-        verdicts["flag"] = rep.holds if "flag" in strict else None
-    if runs("eulerian"):
-        rep = is_eulerian(K, exhaustive=exhaustive)
-        doc["is_eulerian"] = section = _section(K, rep, "holds", "witness")
-        if not rep.holds:
-            detail = {k: v for k, v in rep.values.items() if k != "complex_dim"}
-            section["detail"] = _exact(K, detail)
-        if rep.failures:
-            section["failures"] = _exact(K, rep.failures)
-        verdicts["eulerian"] = rep.holds
-    if runs("ds", empty):
-        rows, rep = ds_residuals(K)
-        doc["ds_rows"] = _exact(
-            K, [{"i": r.i, "lhs": r.lhs, "rhs": r.rhs, "holds": r.holds} for r in rows]
-        )
-        verdicts["ds"] = rep.holds
-    if runs("formula", empty):
-        rep = check_main_formula(K)
-        doc["main_formula"] = _section(
-            K, rep, "lhs", "rhs", "scaled_lhs", "scaled_rhs", "holds", "parity_warning"
-        )
-        # the identity is only asserted in even dimension
-        gates = "formula" in strict or K.dim % 2 == 0
-        verdicts["formula"] = rep.holds if gates else None
-    if runs("proof", empty or (f"dimension {K.dim} is odd" if K.dim % 2 else None)):
-        rep = proof_trace(K)
-        doc["proof_trace"] = _section(K, rep, "A", "B", "C", "P", "holds")
-        verdicts["proof"] = rep.holds
-
+    for check in (c for c in CHECKS if c.name in include):
+        if unmet := check.unmet(K):
+            if check.name in strict:
+                raise InputError(f"check {check.name!r}: {unmet}")
+            skipped[check.name] = unmet
+            continue
+        holds, doc[check.key] = check.run(K, exhaustive)
+        gates = check.gates == "always" or (check.gates == "even" and K.dim % 2 == 0)
+        verdicts[check.name] = holds if gates or check.name in strict else None
     if skipped:
         doc["skipped"] = skipped
     return doc, verdicts
@@ -318,8 +326,7 @@ def _split_operands(args):
     """First operand is the input path unless --gen is given or it names a
     check; the rest select checks."""
     operands = list(args.operands or [])
-    known = set(CHECK_NAMES) | {"all"}
-    if args.gen or (operands and operands[0] in known):
+    if args.gen or (operands and operands[0] in CHOICES):
         args.path = None
         args.which = operands
     else:
@@ -327,9 +334,14 @@ def _split_operands(args):
         args.which = operands[1:]
 
 
+def _report_json(doc):
+    """The JSON text of a report document, as printed and as batch writes it."""
+    return json.dumps(doc, indent=2)
+
+
 def _emit(doc, as_json):
     if as_json:
-        print(json.dumps(doc, indent=2))
+        print(_report_json(doc))
     else:
         print(render_text(doc, color=_use_color(sys.stdout)))
 
@@ -338,12 +350,9 @@ def _auditor(args):
     """Validate the check selection in args; return a function that audits one
     complex with it: (K, provenance) -> (doc with "checks_passed", verdicts)."""
     names = set(args.which or [])
-    unknown = names - set(CHECK_NAMES) - {"all"}
+    unknown = names - set(CHOICES)
     if unknown:
-        raise InputError(
-            f"unknown check {sorted(unknown)[0]!r}; choose from "
-            f"{', '.join(CHECK_NAMES + ('all',))}"
-        )
+        raise InputError(f"unknown check {sorted(unknown)[0]!r}; choose from {', '.join(CHOICES)}")
     explicit = names - {"all"}
     selected = explicit
     if args.all or "all" in names or not explicit:
@@ -405,7 +414,7 @@ def cmd_batch(args) -> int:
             try:
                 outdir.mkdir(parents=True, exist_ok=True)
                 report_path = outdir / (path.name + ".report.json")
-                report_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+                report_path.write_text(_report_json(doc) + "\n", encoding="utf-8")
             except OSError as e:
                 raise InputError(
                     f"{display_path(e.filename or outdir)}: {e.strerror or e}"
@@ -456,7 +465,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "operands",
         nargs="*",
         metavar="[PATH] [WHICH ...]",
-        help=f"facet file, then checks to run: {', '.join(CHECK_NAMES + ('all',))} (default: all)",
+        help=f"facet file, then checks to run: {', '.join(CHOICES)} (default: all)",
     )
     _add_input_args(p_check)
     p_check.add_argument("--all", action="store_true", help=all_help)

@@ -242,6 +242,36 @@ def test_build_document_verdicts_mark_informational_results_none():
     assert verdicts == {"flag": True, "formula": False}
 
 
+def test_check_runners_look_up_check_functions_at_call_time(monkeypatch, capsys):
+    """Each row of cli.CHECKS calls its check function through cli's module
+    globals when it runs, so a wrapper installed on the cli name later (the
+    benchmark's tracer installs one) sees every call."""
+    calls = dict.fromkeys(("is_eulerian", "ds_residuals", "check_main_formula", "proof_trace"), 0)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    rc, _, _ = run(capsys, "check", "--gen", "torus7", "--all")
+    assert rc == 0
+    assert calls == dict.fromkeys(calls, 1)
+
+
+def test_check_table_matches_report_schema():
+    """Every row's document key is a check section of the schema, in report
+    order, and every check section of the schema has a row."""
+    sections = set(SCHEMA["properties"]) - set(SCHEMA["required"]) - {"skipped", "checks_passed"}
+    sections = [key for key in SCHEMA["properties"] if key in sections]
+    assert [check.key for check in cli.CHECKS] == sections
+    assert CHECK_NAMES == ("eulerian", "ds", "formula", "proof", "flag")
+    assert {check.gates for check in cli.CHECKS} <= {"always", "even", "named"}
+
+
 def test_human_output_has_no_ansi_when_not_a_tty(capsys):
     rc, out, _ = run(capsys, "check", "--gen", "torus7", "--all")
     assert rc == 0

@@ -84,9 +84,9 @@ def run(argv):
 def pinned_output(name):
     """Run a case in the current directory; return (code, pinned output, the
     stream that should be empty)."""
-    _, argv, *pinned = CASES[name]
+    _, argv, *named = CASES[name]
+    pinned = named[0] if named else "stdout"
     rc, out, err = run(argv)
-    pinned = pinned[0] if pinned else "stdout"
     if pinned == "stdout":
         return rc, out, err
     if pinned == "stderr":
