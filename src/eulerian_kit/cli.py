@@ -166,8 +166,9 @@ def build_document(K, provenance, include, exhaustive=False, strict=()):
     """Assemble a ReportDocument dict and the verdict of each check that ran.
 
     The rows of CHECKS named in include run in table order.  A verdict is
-    True or False, or None where the row does not gate; checks named in
-    strict gate, and raise InputError where their preconditions fail.
+    True or False, or None where the row does not gate.  A check whose
+    precondition fails is recorded under "skipped", or raises InputError
+    when named in strict; checks named in strict always gate.
     """
     doc = {
         "schema_version": SCHEMA_VERSION,
