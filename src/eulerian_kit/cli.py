@@ -324,15 +324,11 @@ def _load_file(path, fmt=None):
 
 
 def _split_operands(args):
-    """First operand is the input path unless --gen is given or it names a
-    check; the rest select checks."""
-    operands = list(args.operands or [])
-    if args.gen or (operands and operands[0] in CHOICES):
+    """The PATH operand is the first check instead when --gen is given or it
+    names a check."""
+    if args.path is not None and (args.gen or args.path in CHOICES):
+        args.which = [args.path, *args.which]
         args.path = None
-        args.which = operands
-    else:
-        args.path = operands[0] if operands else None
-        args.which = operands[1:]
 
 
 def _report_json(doc):
@@ -455,6 +451,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     all_help = f"run the theorem checks: {', '.join(THEOREM_CHECKS)}"
+    which_help = f"checks to run: {', '.join(CHOICES)} (default: all)"
 
     p_info = sub.add_parser("info", help="invariants of a complex, no theorem checks")
     p_info.add_argument("operands", nargs="*", metavar="PATH", help="facet file (plain or json)")
@@ -462,12 +459,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--json", action="store_true", help="emit a JSON report document")
 
     p_check = sub.add_parser("check", help="run theorem checks and report exactly")
-    p_check.add_argument(
-        "operands",
-        nargs="*",
-        metavar="[PATH] [WHICH ...]",
-        help=f"facet file, then checks to run: {', '.join(CHOICES)} (default: all)",
-    )
+    p_check.add_argument("path", nargs="?", metavar="PATH", help="facet file (none with --gen)")
+    p_check.add_argument("which", nargs="*", metavar="WHICH", help=which_help)
     _add_input_args(p_check)
     p_check.add_argument("--all", action="store_true", help=all_help)
     p_check.add_argument(
@@ -482,12 +475,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser("batch", help="check every facet file in a directory")
     p_batch.add_argument("dir", help="directory of .facets/.txt/.json files")
-    p_batch.add_argument(
-        "which",
-        nargs="*",
-        metavar="WHICH",
-        help="checks to run per file (default: all)",
-    )
+    p_batch.add_argument("which", nargs="*", metavar="WHICH", help=which_help)
     p_batch.add_argument("--all", action="store_true", help=all_help)
     p_batch.add_argument("--exhaustive", action="store_true", help="collect every failure")
     p_batch.add_argument(

@@ -20,6 +20,7 @@ from eulerian_kit import (
     proof_trace,
     sphere_chi,
 )
+from eulerian_kit import checks
 from eulerian_kit import generators as gen
 from eulerian_kit.checks import link_chis
 from eulerian_kit.cli import main, parse_generator_expr
@@ -445,9 +446,9 @@ def _leaf(expr):
     return expr, gen.build(parse_generator_expr(expr))
 
 
-def _apply(op, *operands):
+def _apply(op, *operands, max_faces=MAX_FACES):
     """op applied to (expr, complex) operands.  Rejects the example before
-    building when it would hold a second subdivision or more than MAX_FACES
+    building when it would hold a second subdivision or more than max_faces
     faces."""
     expr = f"{op}({', '.join(e for e, _ in operands)})"
     sizes = [K.num_faces() for _, K in operands]
@@ -457,10 +458,11 @@ def _apply(op, *operands):
         (_, K), = operands
         assume(K.dim + 1 < len(FUBINI))
         faces = sum(K.f_count(k - 1) * FUBINI[k] for k in range(1, K.dim + 2))
-    else:  # a face of a join pairs a face or the empty face of each side, not both empty
-        sides = sizes + [2] if op == "suspension" else sizes
+    else:  # a face of a join pairs a face or the empty face of each side, not both empty;
+        # the cone and the suspension join one and two points
+        sides = sizes + {"cone": [1], "suspension": [2]}.get(op, [])
         faces = prod(n + 1 for n in sides) - 1
-    assume(expr.count("barycentric_subdivision") <= 1 and faces <= MAX_FACES)
+    assume(expr.count("barycentric_subdivision") <= 1 and faces <= max_faces)
     return expr, gen.build(parse_generator_expr(expr))
 
 
@@ -508,3 +510,82 @@ def test_eulerian_operator_trees_pass_every_check(tree):
     if K.dim % 2 == 0:
         assert check_main_formula(K).holds
         assert proof_trace(K).holds
+
+
+# -- the levels the audit counts ----------------------------------------------------
+
+# A per-face link audit builds one link per face, so these trees stay small.
+MIXED_MAX_FACES = 800
+
+
+@st.composite
+def mixed_trees(draw, depth=2):
+    """(expr, complex): spheres, torus7 and projective_plane6 under cone, join,
+    suspension and disjoint unions of any dimensions.  Cones, joins and
+    suspensions of a surface and unions of mixed dimension are not Eulerian,
+    so the first failing link falls on either kind of level."""
+    ops = ("sphere", "torus7", "projective_plane6")
+    ops += ("cone", "suspension", "join", "disjoint_union") if depth else ()
+    op = draw(st.sampled_from(ops))
+    if op == "sphere":
+        return _leaf(draw(SPHERE_LEAVES))
+    if op in ("torus7", "projective_plane6"):
+        return _leaf(op)
+    arity = 2 if op in ("join", "disjoint_union") else 1
+    operands = (draw(mixed_trees(depth - 1)) for _ in range(arity))
+    return _apply(op, *operands, max_faces=MIXED_MAX_FACES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=mixed_trees())
+@example(tree=_leaf("cone(polygon:5)"))  # first failure: a vertex, d - k = 1
+@example(tree=_leaf("join(torus7, polygon:5)"))  # first failure: a polygon vertex, d - k = 3
+@example(tree=_leaf("suspension(torus7)"))
+@example(tree=_leaf("disjoint_union(torus7, polygon:4)"))
+def test_audit_of_mixed_operator_trees_matches_the_per_face_link_audit(tree):
+    expr, K = tree
+    note(f"{expr}: {K.num_faces()} faces")
+    want = per_face_link_audit(K)
+    assert is_eulerian(K, exhaustive=True) == want
+    first = is_eulerian(K)
+    assert (first.holds, first.witness, first.values) == (want.holds, want.witness, want.values)
+
+
+@settings(max_examples=100)
+@given(rows=FACET_ROWS)
+@_with_examples
+def test_link_chi_is_the_sum_over_larger_faces(rows):
+    # chi(lk s) = sum over faces t properly containing s of (1 - chi(lk t)),
+    # in any complex, computed with the oracles alone
+    faces = oracles.closure_of(rows)
+    chis = {s: oracles.chi_of(oracles.link_of(faces, s)) for s in faces}
+    for s in faces:
+        assert chis[s] == sum(1 - chis[t] for t in faces if s < t)
+
+
+@pytest.mark.parametrize(
+    "expr, holds, first, every",
+    [
+        # d = 6: k = 2, 4, 6 of 1..7
+        ("cross_polytope_boundary:7", True, [2, 4, 6], [2, 4, 6]),
+        # d = 3: k = 1, 3 of 1..4
+        ("barycentric_subdivision(barycentric_subdivision(simplex_boundary:4))", True, [1, 3],
+         [1, 3]),
+        # d = 4: the edges fail, so the vertices below them are counted too,
+        # and only the exhaustive audit goes on to k = 4
+        ("join(torus7, polygon:4)", False, [2, 1], [2, 4, 1]),
+    ],
+)
+def test_audit_counts_only_the_levels_that_carry_information(monkeypatch, expr, holds, first,
+                                                             every):
+    K = gen.build(parse_generator_expr(expr))
+    for exhaustive, want in ((False, first), (True, every)):
+        counted = []
+
+        def counting(K, k):
+            counted.append(k)
+            return link_chis(K, k)
+
+        monkeypatch.setattr(checks, "link_chis", counting)
+        assert is_eulerian(K, exhaustive=exhaustive).holds == holds
+        assert counted == want
