@@ -9,7 +9,7 @@ from .checks import (
     sphere_chi,
 )
 from .complexes import Face, SimplicialComplex, VertexTable
-from .errors import ConstructionError, InputError
+from .errors import InputError
 from .invariants import (
     euler_characteristic,
     f_poly_eval,
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport",
-    "ConstructionError",
     "DSResidualRow",
     "Face",
     "InputError",

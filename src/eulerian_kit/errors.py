@@ -4,9 +4,3 @@
 class InputError(ValueError):
     """Raised when caller-supplied data violates an operation's contract."""
 
-
-class ConstructionError(RuntimeError):
-    """Raised when a generator's build-time self-validation fails.
-
-    This signals a bug in the generator itself, not bad user input.
-    """

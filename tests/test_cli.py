@@ -410,6 +410,31 @@ def test_batch_mixed_error_and_pass(tmp_path, capsys):
     assert "error" in out
 
 
+def test_check_names_may_follow_an_option_after_the_operands(tmp_path, capsys):
+    """argparse takes positionals in one block; check names after a later option
+    still select checks, and any other leftover word is a usage error."""
+    _write_corpus(tmp_path, ["polygon:6"])
+    capsys.readouterr()
+    hexagon = str(tmp_path / "c0.facets")
+    for which in ("eulerian", "formula"):
+        want = run(capsys, "check", "--json", hexagon, which)
+        assert want[0] == (1 if which == "formula" else 0)
+        assert run(capsys, "check", hexagon, "--json", which) == want
+        want = run(capsys, "batch", str(tmp_path), which, "--all")
+        assert run(capsys, "batch", str(tmp_path), "--all", which) == want
+    for argv in (
+        ["check", hexagon, "--json", "--bogus"],
+        ["check", hexagon, "--json", "eulerian", "--bogus"],
+        ["info", hexagon, "--json", "x"],
+        ["gen", "torus7", "-o", str(tmp_path / "t.facets"), "x"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(capsys, "info", hexagon, "x") == (2, "", "error: info takes a single facet file\n")
+
+
 def test_deeply_nested_json_file_is_an_input_error(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200000)

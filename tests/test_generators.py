@@ -93,12 +93,17 @@ def test_torus7_construction():
     assert is_eulerian(K).holds
 
 
-def test_torus7_every_edge_in_exactly_two_facets():
-    K = gen.torus7()
+def edge_facet_counts(K):
+    """How many facets of K contain each edge."""
     counts = {}
     for facet in K.facets:
         for e in itertools.combinations(facet, 2):
             counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
+def test_torus7_every_edge_in_exactly_two_facets():
+    counts = edge_facet_counts(gen.torus7())
     assert set(counts.values()) == {2}
     assert len(counts) == 21
 
@@ -108,20 +113,32 @@ def test_projective_plane6_construction():
     assert f_vector(K) == [6, 15, 10]
     assert euler_characteristic(K) == 1
     assert is_eulerian(K).holds
-    # 2-neighborly: every vertex pair is an edge
+    # 2-neighborly: every vertex pair is an edge, and each lies in two facets
     assert len(K.faces_of_dim(1)) == comb(6, 2)
+    assert set(edge_facet_counts(K).values()) == {2}
 
 
-def test_projective_plane6_vertex_links_are_5_cycles():
-    K = gen.projective_plane6()
-    for v in range(6):
+@pytest.mark.parametrize("surface", [gen.torus7, gen.projective_plane6], ids=lambda f: f.__name__)
+def test_surface_vertex_links_are_single_cycles(surface):
+    """Every vertex link is one cycle through the other n - 1 vertices: each of
+    degree 2, and connected, so two disjoint triangles would not pass."""
+    K = surface()
+    n = len(K.vertex_table)
+    for v in range(n):
         L = K.link((v,))
-        assert f_vector(L) == [5, 5]
-        degrees = {}
+        assert f_vector(L) == [n - 1, n - 1]
+        neighbours = {}
         for a, b in L.faces_of_dim(1):
-            degrees[a] = degrees.get(a, 0) + 1
-            degrees[b] = degrees.get(b, 0) + 1
-        assert set(degrees.values()) == {2}
+            neighbours.setdefault(a, set()).add(b)
+            neighbours.setdefault(b, set()).add(a)
+        assert {len(nb) for nb in neighbours.values()} == {2}
+        start = next(iter(neighbours))
+        reached, stack = {start}, [start]
+        while stack:
+            for w in neighbours[stack.pop()] - reached:
+                reached.add(w)
+                stack.append(w)
+        assert len(reached) == n - 1
 
 
 def test_cone_examples():
