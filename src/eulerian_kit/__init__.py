@@ -8,7 +8,7 @@ from .checks import (
     proof_trace,
     sphere_chi,
 )
-from .complexes import Face, SimplicialComplex, VertexTable
+from .complexes import Face, SimplicialComplex
 from .errors import InputError
 from .invariants import (
     euler_characteristic,
@@ -28,7 +28,6 @@ __all__ = [
     "Face",
     "InputError",
     "SimplicialComplex",
-    "VertexTable",
     "check_main_formula",
     "ds_residuals",
     "euler_characteristic",

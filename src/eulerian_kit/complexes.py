@@ -5,8 +5,9 @@ either closed downward from a facet list, or handed over level by level by
 a construction that already knows its faces.
 Faces are tuples of dense vertex ids (strictly increasing); external string
 labels are interned in first-appearance order, so identical input always
-produces identical ids.  Instances are immutable after construction and safe
-to share between threads.
+produces identical ids; a complex keeps them as one tuple indexed by vertex
+id.  Instances are immutable after construction and safe to share between
+threads.
 
 Conventions: the empty complex has dimension -1; the empty face is a valid
 tuple () but is never stored in a complex.
@@ -23,40 +24,6 @@ from .reports import CheckReport
 
 # A face is a strictly increasing tuple of vertex ids.
 Face = tuple[int, ...]
-
-
-class VertexTable:
-    """Bijection between external string labels and dense vertex ids 0..n-1."""
-
-    __slots__ = ("_labels", "_index")
-
-    def __init__(self, labels: Sequence[str]):
-        self._labels = tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(self._labels)}
-        if len(self._index) != len(self._labels):
-            raise InputError("vertex labels must be unique")
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._labels)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
-
-    def label(self, vid: int) -> str:
-        return self._labels[vid]
-
-    def id(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise InputError(f"unknown vertex label {label!r}") from None
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
 
 
 def _check_label(label: str) -> str:
@@ -80,16 +47,17 @@ class SimplicialComplex:
     the maximal faces.  The generators that know every face of what they
     build skip the closure and hand their levels to :meth:`_from_levels`;
     those whose output is flag by construction say so there, and
-    :meth:`is_flag` then needs no walk.  All query methods are read-only.
+    :meth:`is_flag` then needs no walk.  The vertex labels are one tuple,
+    :attr:`labels`, indexed by vertex id.  All query methods are read-only.
     """
 
-    __slots__ = ("_by_dim", "_facets", "_table", "_dim", "_flag")
+    __slots__ = ("_by_dim", "_facets", "_labels", "_dim", "_flag")
 
-    def __init__(self, by_dim, facets, table, flag=False):
+    def __init__(self, by_dim, facets, labels, flag=False):
         # Internal: use the from_* classmethods.
         self._by_dim: dict[int, frozenset[Face]] = by_dim
         self._facets: tuple[Face, ...] = facets
-        self._table: VertexTable = table
+        self._labels: tuple[str, ...] = labels
         self._dim: int = max(by_dim) if by_dim else -1
         self._flag: bool = flag
 
@@ -131,12 +99,12 @@ class SimplicialComplex:
         """Build from facets given as strictly increasing id tuples over
         range(len(labels)).
 
-        Every vertex id must occur in some facet, so that the vertex table
-        and the 0-faces agree.  Raises InputError unless the 0-faces are
-        exactly the ids 0..n-1 and every edge (a, b) has a < b; since each
-        face is closed downward through ``itertools.combinations``, which
-        keeps the input order, an unsorted or repeated id in any face shows
-        up in one of its edges.
+        Every vertex id must occur in some facet, so that the labels and the
+        0-faces agree.  Raises InputError unless the 0-faces are exactly the
+        ids 0..n-1 and every edge (a, b) has a < b; since each face is closed
+        downward through ``itertools.combinations``, which keeps the input
+        order, an unsorted or repeated id in any face shows up in one of its
+        edges.  Then raises InputError if two labels are equal.
 
         The closure runs one level at a time, top down: level k is every
         (k+1)-subset of every face one level up, generated by
@@ -163,6 +131,8 @@ class SimplicialComplex:
             raise InputError(f"faces must use each vertex id in range({len(labels)}) and no other")
         if not all(starmap(lt, by_dim.get(1, ()))):
             raise InputError("every face must be a strictly increasing tuple of vertex ids")
+        if len(set(labels)) != len(labels):
+            raise InputError("vertex labels must be unique")
 
         return cls._from_levels(by_dim, maximal, labels)
 
@@ -187,7 +157,7 @@ class SimplicialComplex:
         return cls(
             {k: frozenset(level) for k, level in by_dim.items()},
             tuple(sorted(sorted(facets), key=len)),
-            VertexTable(labels),
+            tuple(labels),
             flag,
         )
 
@@ -203,8 +173,9 @@ class SimplicialComplex:
         return self._facets
 
     @property
-    def vertex_table(self) -> VertexTable:
-        return self._table
+    def labels(self) -> tuple[str, ...]:
+        """Vertex labels, indexed by id."""
+        return self._labels
 
     def is_empty(self) -> bool:
         return self._dim == -1
@@ -229,11 +200,15 @@ class SimplicialComplex:
         return face in self._by_dim.get(len(face) - 1, ())
 
     def labels_of(self, face: Face) -> tuple[str, ...]:
-        return tuple(self._table.label(v) for v in face)
+        return tuple(map(self._labels.__getitem__, face))
 
     def face_from_labels(self, labels: Iterable[str]) -> Face:
         """Translate a label collection into a sorted id tuple (not verified)."""
-        return tuple(sorted(self._table.id(lab) for lab in labels))
+        index = {lab: i for i, lab in enumerate(self._labels)}
+        try:
+            return tuple(sorted(index[lab] for lab in labels))
+        except KeyError as exc:
+            raise InputError(f"unknown vertex label {exc.args[0]!r}") from None
 
     # -- subcomplex operations ----------------------------------------------
 
@@ -242,7 +217,7 @@ class SimplicialComplex:
         if not face:
             raise InputError("the empty face is not accepted here")
         if face not in self:
-            if all(0 <= v < len(self._table) for v in face):
+            if all(0 <= v < len(self._labels) for v in face):
                 shown = "{" + ",".join(self.labels_of(face)) + "}"
             else:
                 shown = repr(face)
@@ -254,7 +229,7 @@ class SimplicialComplex:
         # carry over deterministically.
         verts = sorted({v for f in id_facets for v in f})
         remap = {v: i for i, v in enumerate(verts)}
-        labels = [self._table.label(v) for v in verts]
+        labels = [self._labels[v] for v in verts]
         return SimplicialComplex.from_indexed_facets(
             [tuple(remap[v] for v in f) for f in id_facets], labels
         )
@@ -309,7 +284,7 @@ class SimplicialComplex:
         if self._flag:
             return CheckReport(holds=True)
         # Each edge (a, b) has a < b, so up[a] holds only the neighbours above a.
-        up: list[set[int]] = [set() for _ in self._table]
+        up: list[set[int]] = [set() for _ in self._labels]
         for a, b in self.faces_of_dim(1):
             up[a].add(b)
 
@@ -335,5 +310,5 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         return (
             f"SimplicialComplex(dim={self._dim}, "
-            f"vertices={len(self._table)}, faces={self.num_faces()})"
+            f"vertices={len(self._labels)}, faces={self.num_faces()})"
         )

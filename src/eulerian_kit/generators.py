@@ -96,9 +96,9 @@ def _fresh_label(base: str, used: set[str]) -> str:
 
 
 def _merge_labels(A: SimplicialComplex, B: SimplicialComplex):
-    labels = list(A.vertex_table.labels)
+    labels = list(A.labels)
     used = set(labels)
-    labels += [_fresh_label(lab, used) for lab in B.vertex_table.labels]
+    labels += [_fresh_label(lab, used) for lab in B.labels]
     return labels
 
 
@@ -124,7 +124,7 @@ def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
         return B
     if B.is_empty():
         return A
-    shift = len(A.vertex_table)
+    shift = len(A.labels)
     # The faces of each side by size, the empty face as the one of size 0.
     # Shifted B ids all exceed A ids, so a + b stays sorted.
     a_faces = [[()], *map(A.faces_of_dim, range(A.dim + 1))]
@@ -154,7 +154,7 @@ def disjoint_union(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComp
         return B
     if B.is_empty():
         return A
-    shift = len(A.vertex_table)
+    shift = len(A.labels)
     levels = {
         k: A.faces_of_dim(k).union(_shifted(B.faces_of_dim(k), shift))
         for k in range(max(A.dim, B.dim) + 1)

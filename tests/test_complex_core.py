@@ -50,11 +50,19 @@ def test_duplicate_vertex_in_facet_rejected():
         ([(0, 0)], ["a"]),
         ([(0, 2, 1), (3,)], ["a", "b", "c", "d"]),  # the inversion is not in the prefix
         ([(0,)], ["a", "b"]),
+        ([(0,), (1,)], ["a", "a"]),
     ],
 )
 def test_indexed_facets_must_be_increasing_ids_over_the_whole_table(facets, labels):
     with pytest.raises(InputError):
         SimplicialComplex.from_indexed_facets(facets, labels)
+
+
+def test_duplicate_labels_are_reported_after_face_errors():
+    with pytest.raises(InputError, match="labels must be unique"):
+        SimplicialComplex.from_indexed_facets([(0, 1)], ["a", "a"])
+    with pytest.raises(InputError, match="strictly increasing"):
+        SimplicialComplex.from_indexed_facets([(1, 0)], ["a", "a"])
 
 
 def test_whitespace_and_empty_labels_rejected():
@@ -102,7 +110,7 @@ def test_faces_iterate_in_dimension_then_lex_order():
     faces = list(K.faces())
     assert faces == sorted(faces, key=lambda f: (len(f), f))
     # labels intern in first-appearance order: b=0, a=1, c=2
-    assert K.vertex_table.labels == ("b", "a", "c")
+    assert K.labels == ("b", "a", "c")
 
 
 def test_membership_and_label_round_trip():
@@ -110,6 +118,8 @@ def test_membership_and_label_round_trip():
     face = K.face_from_labels(["z", "x"])
     assert face in K
     assert sorted(K.labels_of(face)) == ["x", "z"]
+    with pytest.raises(InputError, match="unknown vertex label"):
+        K.face_from_labels(["nope"])
 
 
 # -- link and star ------------------------------------------------------------
@@ -143,7 +153,7 @@ def test_link_of_edge_in_octahedron_is_two_points():
 def test_link_preserves_original_labels():
     K = SimplicialComplex.from_facets([["p", "q", "r"], ["q", "r", "s"]])
     L = K.link(K.face_from_labels(["q"]))
-    assert set(L.vertex_table.labels) == {"p", "r", "s"}
+    assert set(L.labels) == {"p", "r", "s"}
 
 
 def test_link_rejects_non_faces_and_empty_face():

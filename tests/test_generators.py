@@ -123,7 +123,7 @@ def test_surface_vertex_links_are_single_cycles(surface):
     """Every vertex link is one cycle through the other n - 1 vertices: each of
     degree 2, and connected, so two disjoint triangles would not pass."""
     K = surface()
-    n = len(K.vertex_table)
+    n = len(K.labels)
     for v in range(n):
         L = K.link((v,))
         assert f_vector(L) == [n - 1, n - 1]
@@ -193,7 +193,7 @@ def test_join_of_two_triangle_boundaries_is_a_3_sphere():
 
 def test_join_relabels_the_right_side_with_primes():
     J = gen.join(gen.simplex_boundary(2), gen.simplex_boundary(2))
-    assert J.vertex_table.labels == ("0", "1", "2", "0'", "1'", "2'")
+    assert J.labels == ("0", "1", "2", "0'", "1'", "2'")
 
 
 def test_join_with_empty_is_identity():
@@ -239,7 +239,7 @@ def test_subdivision_of_an_edge_is_a_two_edge_path():
     K = SimplicialComplex.from_facets([["a", "b"]])
     S = gen.barycentric_subdivision(K)
     assert f_vector(S) == [3, 2]
-    assert S.vertex_table.labels == ("b{0}", "b{1}", "b{0.1}")
+    assert S.labels == ("b{0}", "b{1}", "b{0.1}")
 
 
 def test_subdivision_of_tetra_boundary():
@@ -303,7 +303,7 @@ def test_subdivision_matches_the_permutation_construction(K):
 
 def assert_same_complex(K, want):
     assert K.facets == want.facets
-    assert K.vertex_table.labels == want.vertex_table.labels
+    assert K.labels == want.labels
     assert K.dim == want.dim
     for i in range(-1, want.dim + 2):
         assert K.faces_of_dim(i) == want.faces_of_dim(i)
@@ -311,7 +311,7 @@ def assert_same_complex(K, want):
 
 def assert_same_as_closure(K):
     """K equals the closure of its own facet list, face for face."""
-    assert_same_complex(K, SimplicialComplex.from_indexed_facets(K.facets, K.vertex_table.labels))
+    assert_same_complex(K, SimplicialComplex.from_indexed_facets(K.facets, K.labels))
 
 
 def assert_mark_holds(K):
@@ -319,8 +319,8 @@ def assert_mark_holds(K):
     the mark, and, when it is small, the brute-force clique search."""
     if not K._flag:
         return
-    assert SimplicialComplex.from_indexed_facets(K.facets, K.vertex_table.labels).is_flag().holds
-    if len(K.vertex_table) <= 14:
+    assert SimplicialComplex.from_indexed_facets(K.facets, K.labels).is_flag().holds
+    if len(K.labels) <= 14:
         assert oracles.first_nonface_clique(map(K.labels_of, K.facets)) is None
 
 
