@@ -3,6 +3,11 @@
 Subcommands: info (invariants only), check (theorem audits), gen (write a
 generator's facet file), batch (check every facet file in a directory).
 Exit codes: 0 all selected checks hold, 1 a check failed, 2 input error.
+The ds, formula and proof checks read only the dimension and the f-vector
+(and the report header reads purity), so `check --gen EXPR` that selects
+only those takes the face counts of EXPR in closed form
+(`generators.face_counts`) and builds no face; any other selection, and
+every other command or input, builds the complex.
 Every number in a JSON report is a decimal string or a reduced "p/q"
 rational; nothing is ever emitted as floating point.
 """
@@ -22,7 +27,7 @@ from .checks import check_main_formula, ds_residuals, is_eulerian, proof_trace
 from .complexes import SimplicialComplex
 from .errors import InputError
 from .facetio import FORMATS, detect_format, display_path, load_complex, write_facets
-from .generators import GeneratorSpec, build
+from .generators import GeneratorSpec, build, face_counts
 from .invariants import euler_characteristic, f_vector, h_vector
 
 SCHEMA_VERSION = 1
@@ -95,6 +100,15 @@ def _parse_expr(text, pos, depth=0):
 # -- exact serialization -------------------------------------------------------
 
 
+def _decimal(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise InputError(
+            f"a reported number has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def _exact(K, value):
     """value with each int as a decimal string, each Fraction as "p/q" and each
     face tuple as its labels; lists and dicts element by element, and bools,
@@ -102,9 +116,9 @@ def _exact(K, value):
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
-        return str(value)
+        return _decimal(value)
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
     if isinstance(value, tuple):
         return list(K.labels_of(value))
     if isinstance(value, list):
@@ -141,29 +155,36 @@ def _ds(K, exhaustive):
 
 
 # One row per check, in report order: selection name, document key, unmet(K)
-# (why its precondition fails, or None), run(K, exhaustive) -> (holds, section)
-# and when it gates: "always", "even" (in even dimension) or "named" (only when
-# named; it is then informational and runs only when named).  Runners look their
-# check up in this module when they run, so a wrapper installed later still runs.
-Check = namedtuple("Check", "name key unmet run gates")
+# (why its precondition fails, or None), run(K, exhaustive) -> (holds, section),
+# when it gates: "always", "even" (in even dimension) or "named" (only when
+# named; it is then informational and runs only when named), and what it
+# reads: "faces" or only "counts", the queries of generators.FaceCounts.
+# Runners look their check up in this module when they run, so a wrapper
+# installed later still runs.
+Check = namedtuple("Check", "name key unmet run gates reads")
 CHECKS = (
     Check("flag", "is_flag", lambda K: None,
-          lambda K, _: _section(K, K.is_flag(), "holds", "witness"), "named"),
-    Check("eulerian", "is_eulerian", lambda K: None, _eulerian, "always"),
-    Check("ds", "ds_rows", _nonempty, _ds, "always"),
+          lambda K, _: _section(K, K.is_flag(), "holds", "witness"), "named", "faces"),
+    Check("eulerian", "is_eulerian", lambda K: None, _eulerian, "always", "faces"),
+    Check("ds", "ds_rows", _nonempty, _ds, "always", "counts"),
     Check("formula", "main_formula", _nonempty, lambda K, _: _section(K, check_main_formula(K),
-          "lhs", "rhs", "scaled_lhs", "scaled_rhs", "holds", "parity_warning"), "even"),
+          "lhs", "rhs", "scaled_lhs", "scaled_rhs", "holds", "parity_warning"), "even", "counts"),
     Check("proof", "proof_trace",
           lambda K: _nonempty(K) or (f"dimension {K.dim} is odd" if K.dim % 2 else None),
-          lambda K, _: _section(K, proof_trace(K), "A", "B", "C", "P", "holds"), "always"),
+          lambda K, _: _section(K, proof_trace(K), "A", "B", "C", "P", "holds"), "always",
+          "counts"),
 )
 THEOREM_CHECKS = tuple(c.name for c in CHECKS if c.gates != "named")
 CHECK_NAMES = THEOREM_CHECKS + tuple(c.name for c in CHECKS if c.gates == "named")
 CHOICES = CHECK_NAMES + ("all",)
+COUNTS_ONLY = frozenset(c.name for c in CHECKS if c.reads == "counts")
 
 
 def build_document(K, provenance, include, exhaustive=False, strict=()):
     """Assemble a ReportDocument dict and the verdict of each check that ran.
+
+    K is a SimplicialComplex, or a generators.FaceCounts when every row in
+    include reads only counts.
 
     The rows of CHECKS named in include run in table order.  A verdict is
     True or False, or None where the row does not gate.  A check whose
@@ -307,12 +328,15 @@ def _add_input_args(sub):
     )
 
 
-def _load_input(args):
+def _load_input(args, counts=False):
+    """(complex, provenance) of the input; with counts, a generator
+    expression gives its FaceCounts instead of the complex."""
     if args.gen and args.path:
         raise InputError("give either a facet file or --gen, not both")
     if args.gen:
         spec = parse_generator_expr(args.gen)
-        return build(spec), {"kind": "generator", "expr": spec.to_expr()}
+        K = face_counts(spec) if counts else build(spec)
+        return K, {"kind": "generator", "expr": spec.to_expr()}
     if not args.path:
         raise InputError("no input: give a facet file or --gen EXPR")
     return _load_file(args.path, args.format)
@@ -375,7 +399,10 @@ def cmd_info(args) -> int:
 
 def cmd_check(args) -> int:
     _split_operands(args)
-    K, prov = _load_input(args)
+    # checks are validated after the input is read, as on every path; an
+    # unknown name is not in COUNTS_ONLY, so it leaves this path to build
+    names = set(args.which or [])
+    K, prov = _load_input(args, counts=bool(names) and not args.all and names <= COUNTS_ONLY)
     doc, _ = _auditor(args)(K, prov)
     _emit(doc, args.json)
     return 0 if doc["checks_passed"] else 1
@@ -481,6 +508,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "-o", "--out", help="directory for per-file JSON reports (default: DIR/reports)"
     )
+    # leftover words are reported under the usage of the command they came with
+    for command in (p_info, p_check, p_gen, p_batch):
+        command.set_defaults(usage_error=command.error)
     return parser
 
 
@@ -500,7 +530,7 @@ def main(argv=None) -> int:
     if extra and args.command in ("check", "batch") and not any(w.startswith("-") for w in extra):
         args.which += extra
     elif extra:
-        _parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     # cmd_<command> is looked up at each call, not bound into the cached
     # parser, so a wrapper installed on it later (perfbench's tracer) still runs
     command = globals()[f"cmd_{args.command}"]

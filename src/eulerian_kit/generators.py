@@ -5,22 +5,37 @@ the 7-vertex torus, the 6-vertex projective plane) plus operators (cone,
 suspension, join, disjoint union, barycentric subdivision).  The two surfaces
 are transcribed facet lists; their face counts, ridge incidence and vertex
 links are checked by the tests, not at each build.
+
+A generator expression (a `GeneratorSpec`) can be evaluated two ways:
+`build` makes the complex, and `face_counts` gives only its face counts and
+purity, in closed form, without making a face.  The checks that read no
+more than the dimension and the f-vector (Dehn-Sommerville, the main formula
+and the proof trace) run on either; `eulerian-kit check --gen` takes the
+counts when it runs only those.  Both evaluations walk the tree through
+`_apply`, and each leaf checks its parameter with `_at_least`, so a
+malformed expression raises the same InputError on either.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from operator import add
 
 from .complexes import Face, SimplicialComplex
 from .errors import InputError
 
 
+def _at_least(least: int, name: str, n: int) -> None:
+    """The parameter check of a leaf, made by its builder and its count rule."""
+    if n < least:
+        raise InputError(f"{name} needs n >= {least}, got {n}")
+
+
 def simplex_boundary(n: int) -> SimplicialComplex:
     """Boundary of the n-simplex: every proper nonempty subset of n+1 vertices."""
-    if n < 1:
-        raise InputError(f"simplex_boundary needs n >= 1, got {n}")
+    _at_least(1, "simplex_boundary", n)
     labels = [str(i) for i in range(n + 1)]
     levels = {k: frozenset(itertools.combinations(range(n + 1), k + 1)) for k in range(n)}
     return SimplicialComplex._from_levels(levels, levels[n - 1], labels)
@@ -37,8 +52,7 @@ def cross_polytope_boundary(n: int) -> SimplicialComplex:
     The result is marked flag: its only minimal non-faces are the antipodal
     edges, so a clique, which contains no antipodal pair, is a face.
     """
-    if n < 1:
-        raise InputError(f"cross_polytope_boundary needs n >= 1, got {n}")
+    _at_least(1, "cross_polytope_boundary", n)
     labels = []
     for i in range(1, n + 1):
         labels += [f"p{i}", f"m{i}"]
@@ -56,8 +70,7 @@ def cross_polytope_boundary(n: int) -> SimplicialComplex:
 
 def polygon(n: int) -> SimplicialComplex:
     """Cycle on n vertices."""
-    if n < 3:
-        raise InputError(f"polygon needs n >= 3, got {n}")
+    _at_least(3, "polygon", n)
     labels = [str(i) for i in range(n)]
     facets = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
     return SimplicialComplex.from_indexed_facets(facets, labels)
@@ -203,6 +216,91 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex._from_levels(levels, facets, labels, flag=True)
 
 
+# -- face counts in closed form ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class FaceCounts:
+    """The face counts and purity of a complex, without its faces.
+
+    by_size[s] counts the faces with s vertices: by_size[0] = 1 is the empty
+    face and by_size[i + 1] = f_i.  It answers the queries of
+    SimplicialComplex that the f-vector and the checks built on it read:
+    dim, f_count, is_empty and is_pure.
+    """
+
+    by_size: tuple[int, ...]
+    pure: bool = True
+
+    @property
+    def dim(self) -> int:
+        return len(self.by_size) - 2
+
+    def f_count(self, i: int) -> int:
+        """Number of i-dimensional faces."""
+        return self.by_size[i + 1] if 0 <= i <= self.dim else 0
+
+    def is_empty(self) -> bool:
+        return self.dim == -1
+
+    def is_pure(self) -> bool:
+        return self.pure
+
+
+def _simplex_boundary_counts(n: int) -> FaceCounts:
+    _at_least(1, "simplex_boundary", n)
+    return FaceCounts(tuple(comb(n + 1, s) for s in range(n + 1)))
+
+
+def _cross_polytope_counts(n: int) -> FaceCounts:
+    # a face picks s of the n axes and one pole of each
+    _at_least(1, "cross_polytope_boundary", n)
+    return FaceCounts(tuple(2**s * comb(n, s) for s in range(n + 1)))
+
+
+def _polygon_counts(n: int) -> FaceCounts:
+    _at_least(3, "polygon", n)
+    return FaceCounts((1, n, n))
+
+
+def _join_counts(A: FaceCounts, B: FaceCounts) -> FaceCounts:
+    """A face of the join is a face of A and a face of B, not both empty, so
+    the counts multiply as polynomials; the facets are unions of facets."""
+    by_size = [0] * (len(A.by_size) + len(B.by_size) - 1)
+    for i, a in enumerate(A.by_size):
+        for j, b in enumerate(B.by_size):
+            by_size[i + j] += a * b
+    return FaceCounts(tuple(by_size), A.pure and B.pure)
+
+
+def _disjoint_union_counts(A: FaceCounts, B: FaceCounts) -> FaceCounts:
+    """The counts add, but for one shared empty face; pure when both sides
+    are pure of one dimension (every generator makes a nonempty complex)."""
+    by_size = [a + b for a, b in itertools.zip_longest(A.by_size, B.by_size, fillvalue=0)]
+    by_size[0] = 1
+    return FaceCounts(tuple(by_size), A.pure and B.pure and A.dim == B.dim)
+
+
+def _onto(i: int, j: int) -> int:
+    """Surjections of an i-set onto a j-set, j! S(i, j), by inclusion-exclusion."""
+    return sum((-1) ** k * comb(j, k) * (j - k) ** i for k in range(j + 1))
+
+
+def _subdivision_counts(K: FaceCounts) -> FaceCounts:
+    """A face of sd K with j vertices is a chain of j faces; the chains
+    topped by one face with i vertices are the ordered partitions of it into
+    j blocks, j! S(i, j) of them.  Its facets are the maximal chains, each
+    as long as its top facet, so purity carries over.  (j = 0 gives the
+    empty face alone: _onto(i, 0) is 1 for i = 0 and 0 otherwise.)"""
+    sizes = range(len(K.by_size))
+    by_size = (sum(c * _onto(i, j) for i, c in enumerate(K.by_size)) for j in sizes)
+    return FaceCounts(tuple(by_size), K.pure)
+
+
+_POINT = FaceCounts((1, 1))
+_TWO_POINTS = FaceCounts((1, 2))
+
+
 # -- named access for the CLI -------------------------------------------------
 
 
@@ -236,14 +334,31 @@ REGISTRY = {
     "disjoint_union": (disjoint_union, 0, 2),
     "barycentric_subdivision": (barycentric_subdivision, 0, 1),
 }
+_BUILDERS = {name: fn for name, (fn, _, _) in REGISTRY.items()}
+# name -> the FaceCounts of its output, from those of its complex arguments
+_COUNT_RULES = {
+    "simplex_boundary": _simplex_boundary_counts,
+    "cross_polytope_boundary": _cross_polytope_counts,
+    "polygon": _polygon_counts,
+    "torus7": lambda: FaceCounts((1, 7, 21, 14)),
+    "projective_plane6": lambda: FaceCounts((1, 6, 15, 10)),
+    "cone": lambda K: _join_counts(K, _POINT),
+    "suspension": lambda K: _join_counts(K, _TWO_POINTS),
+    "join": _join_counts,
+    "disjoint_union": _disjoint_union_counts,
+    "barycentric_subdivision": _subdivision_counts,
+}
 
 
-def build(spec: GeneratorSpec) -> SimplicialComplex:
-    """Evaluate a generator spec tree."""
+def _apply(spec: GeneratorSpec, rules, evaluate):
+    """rules[spec.name] applied to spec's parameters and to evaluate(arg) of
+    each argument, left to right.  The node's name and arity are checked
+    first, so the two evaluations below raise the same InputError, in the
+    same order, on every malformed tree."""
     entry = REGISTRY.get(spec.name)
     if entry is None:
         raise InputError(f"unknown generator {spec.name!r}")
-    fn, n_params, n_args = entry
+    _, n_params, n_args = entry
     if len(spec.params) != n_params:
         raise InputError(
             f"{spec.name} takes {n_params} integer parameter(s), got {len(spec.params)}"
@@ -252,4 +367,16 @@ def build(spec: GeneratorSpec) -> SimplicialComplex:
         raise InputError(
             f"{spec.name} takes {n_args} complex argument(s), got {len(spec.args)}"
         )
-    return fn(*spec.params, *(build(a) for a in spec.args))
+    return rules[spec.name](*spec.params, *map(evaluate, spec.args))
+
+
+def build(spec: GeneratorSpec) -> SimplicialComplex:
+    """Evaluate a generator spec tree."""
+    return _apply(spec, _BUILDERS, build)
+
+
+def face_counts(spec: GeneratorSpec) -> FaceCounts:
+    """The face counts and purity of build(spec), in closed form: no face is
+    made, so this costs a few polynomial products per node, whatever the
+    size of the complex."""
+    return _apply(spec, _COUNT_RULES, face_counts)

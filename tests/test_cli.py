@@ -8,7 +8,9 @@ import random
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
+from math import comb
 from pathlib import Path
 
 import jsonschema
@@ -26,7 +28,7 @@ from eulerian_kit.cli import (
     parse_generator_expr,
 )
 from eulerian_kit.errors import InputError
-from eulerian_kit.generators import build
+from eulerian_kit.generators import build, face_counts
 
 import oracles
 
@@ -270,6 +272,115 @@ def test_check_table_matches_report_schema():
     assert [check.key for check in cli.CHECKS] == sections
     assert CHECK_NAMES == ("eulerian", "ds", "formula", "proof", "flag")
     assert {check.gates for check in cli.CHECKS} <= {"always", "even", "named"}
+    assert {check.reads for check in cli.CHECKS} <= {"faces", "counts"}
+    assert cli.COUNTS_ONLY == {"ds", "formula", "proof"}
+
+
+@pytest.mark.parametrize(
+    "expr", ["polygon:6", "torus7", "disjoint_union(torus7, polygon:6)", "join(torus7, polygon:4)"]
+)
+@pytest.mark.parametrize("check", [c for c in cli.CHECKS if c.reads == "counts"], ids=str)
+def test_counts_rows_run_on_face_counts(expr, check):
+    """A row marked counts-only runs on a FaceCounts, which has no faces, and
+    gives the section and verdict it gives on the built complex; a row that
+    reads faces but is marked counts-only fails here."""
+    spec = parse_generator_expr(expr)
+    prov = {"kind": "generator", "expr": expr}
+    counts, K = face_counts(spec), build(spec)
+    assert check.unmet(counts) == check.unmet(K)
+    if check.unmet(K) is None:
+        assert check.run(counts, False) == check.run(K, False)
+    assert build_document(counts, prov, {check.name}) == build_document(K, prov, {check.name})
+
+
+@pytest.mark.parametrize(
+    "which, builds",
+    [
+        (["ds", "formula", "proof"], 0),
+        (["ds"], 0),
+        (["proof", "formula"], 0),
+        (["ds", "--exhaustive"], 0),
+        (["--all"], 1),
+        (["ds", "formula", "proof", "--all"], 1),
+        (["ds", "all"], 1),
+        ([], 1),
+        (["flag"], 1),
+        (["eulerian"], 1),
+        (["ds", "flag"], 1),
+        (["formula", "eulerian"], 1),
+    ],
+)
+def test_check_builds_only_when_a_selected_check_reads_faces(monkeypatch, capsys, which, builds):
+    calls = []
+    monkeypatch.setattr(cli, "build", lambda spec: calls.append(spec) or build(spec))
+    rc, _, _ = run(capsys, "check", "--gen", "suspension(polygon:5)", *which)
+    assert rc == 0
+    assert len(calls) == builds
+
+
+def test_info_and_files_always_build(monkeypatch, capsys, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "build", lambda spec: calls.append(spec) or build(spec))
+    monkeypatch.setattr(cli, "face_counts", None)
+    assert run(capsys, "info", "--gen", "torus7")[0] == 0
+    assert len(calls) == 1
+    path = tmp_path / "hex.facets"
+    path.write_text("".join(f"{i} {(i + 1) % 6}\n" for i in range(6)))
+    assert run(capsys, "check", str(path), "ds", "formula")[0] == 1
+    assert run(capsys, "batch", str(tmp_path), "ds")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "nonesuch",
+        "join(torus7)",
+        "torus7:1",
+        "cone(simplex_boundary:0)",
+        "join(torus7, suspension(polygon:2))",
+        "disjoint_union(nonesuch, polygon:2)",
+    ],
+)
+def test_malformed_expressions_give_one_error_on_every_path(capsys, expr):
+    outcomes = {
+        run(capsys, "check", "--gen", expr, *which)
+        for which in (["ds", "formula", "proof"], ["ds"], ["--all"], ["flag"], ["ds", "bogus"])
+    }
+    outcomes.add(run(capsys, "info", "--gen", expr))
+    assert len(outcomes) == 1
+    rc, out, err = outcomes.pop()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_counts_path_answers_expressions_too_large_to_build(capsys):
+    """simplex_boundary:40 has about 2^41 faces; its counts come back at once.
+    Its dimension, 39, is odd, so naming proof is an input error, found
+    without building too; simplex_boundary:41 runs all three checks."""
+    start = time.perf_counter()
+    rc, doc, _ = run_json(capsys, "check", "--gen", "simplex_boundary:40", "ds", "--json")
+    assert rc == 0
+    assert doc["f_vector"] == [str(comb(41, i + 1)) for i in range(40)]
+    assert (doc["dim"], doc["chi"], doc["is_pure"]) == ("39", "0", True)
+    assert all(row["holds"] for row in doc["ds_rows"])
+    rc, out, err = run(capsys, "check", "--gen", "simplex_boundary:40", "ds", "formula", "proof")
+    assert (rc, out, err) == (2, "", "error: check 'proof': dimension 39 is odd\n")
+    rc, doc, _ = run_json(
+        capsys, "check", "--gen", "simplex_boundary:41", "ds", "formula", "proof", "--json"
+    )
+    assert rc == 0
+    assert doc["f_vector"] == [str(comb(42, i + 1)) for i in range(41)]
+    assert doc["main_formula"]["holds"] and doc["proof_trace"]["holds"]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_report_number_too_long_to_print_is_an_input_error(capsys):
+    """Counts of a 4000-digit polygon join have about 8000 digits, more than
+    Python turns into a string by default."""
+    n = "9" * 4000
+    rc, out, err = run(capsys, "check", "--gen", f"join(polygon:{n}, polygon:{n})", "ds")
+    limit = sys.get_int_max_str_digits()
+    assert (rc, out, err) == (2, "", f"error: a reported number has more than {limit} digits\n")
 
 
 def test_human_output_has_no_ansi_when_not_a_tty(capsys):
@@ -797,7 +908,7 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, monkeypatch):
     assert [rc for rc, _, _ in fresh] == [
         0, 0, 0, 0, 0, "SystemExit(2)", "SystemExit(0)", "SystemExit(0)", "SystemExit(2)"
     ]
-    assert fresh[5][2].startswith("usage: eulerian-kit [-h]")
+    assert fresh[5][2].startswith("usage: eulerian-kit check [-h]")
     assert "unrecognized arguments: --no-such-option" in fresh[5][2]
     assert fresh[6][1].startswith("usage: eulerian-kit [-h]")
     assert fresh[7][1] != outcome("80", "check", "--help")[1]  # the width shows

@@ -1,5 +1,7 @@
 """Canonical complexes and the complex-building operators."""
 
+import contextlib
+import io
 import itertools
 import random
 from math import comb
@@ -18,6 +20,7 @@ from eulerian_kit import (
     h_vector,
     is_eulerian,
 )
+from eulerian_kit import cli
 from eulerian_kit import generators as gen
 
 import oracles
@@ -324,15 +327,21 @@ def assert_mark_holds(K):
         assert oracles.first_nonface_clique(map(K.labels_of, K.facets)) is None
 
 
+def too_large(name, args):
+    """Whether the operator name applied to the built complexes args would
+    make a large complex."""
+    if name == "barycentric_subdivision":
+        return args[0].dim > 3 or args[0].num_faces() > 100
+    return name == "join" and (args[0].num_faces() + 1) * (args[1].num_faces() + 1) > 5000
+
+
 def build_checked(spec, check=assert_same_as_closure):
     """Evaluate a spec tree, calling check on every complex it builds.  An
     operator whose result would be large returns its first argument
     instead, so that every tree stays small."""
     fn, _, _ = gen.REGISTRY[spec.name]
     args = [build_checked(a, check) for a in spec.args]
-    if spec.name == "barycentric_subdivision" and (args[0].dim > 3 or args[0].num_faces() > 100):
-        return args[0]
-    if spec.name == "join" and (args[0].num_faces() + 1) * (args[1].num_faces() + 1) > 5000:
+    if too_large(spec.name, args):
         return args[0]
     K = fn(*spec.params, *args)
     check(K)
@@ -473,3 +482,126 @@ def test_generator_registry_dispatch():
         gen.build(gen.GeneratorSpec("torus7", (3,)))
     with pytest.raises(InputError):
         gen.build(gen.GeneratorSpec("join", (), (gen.GeneratorSpec("torus7"),)))
+
+
+# -- face counts in closed form ------------------------------------------------
+
+
+def pruned(spec):
+    """(spec', build(spec')): spec with each operator whose result would be
+    large replaced by its first argument, as in build_checked."""
+    if not spec.args:
+        return spec, gen.build(spec)
+    specs, built = zip(*map(pruned, spec.args))
+    if too_large(spec.name, built):
+        return specs[0], built[0]
+    fn, _, _ = gen.REGISTRY[spec.name]
+    return _S(spec.name, spec.params, specs), fn(*spec.params, *built)
+
+
+_TORUS = _S("torus7")
+# the mixed-dimensional union under every operator, on either side
+_OVER_MIXED = [
+    _MIXED,
+    _S("cone", (), (_MIXED,)),
+    _S("suspension", (), (_MIXED,)),
+    _S("join", (), (_MIXED, _TORUS)),
+    _S("join", (), (_TORUS, _MIXED)),
+    _S("disjoint_union", (), (_MIXED, _TORUS)),
+    _S("disjoint_union", (), (_MIXED, _MIXED)),
+    _S("barycentric_subdivision", (), (_MIXED,)),
+    _S("cone", (), (_S("barycentric_subdivision", (), (_MIXED,)),)),
+]
+
+
+@given(spec=_spec_trees())
+@example(spec=_S("disjoint_union", (), (_TORUS, _S("polygon", (6,)))))
+@example(spec=_S("join", (), (_S("barycentric_subdivision", (), (_TORUS,)), _S("polygon", (5,)))))
+@example(spec=_S("barycentric_subdivision", (), (_S("cross_polytope_boundary", (3,)),)))
+def test_face_counts_match_the_built_complex(spec):
+    spec, K = pruned(spec)
+    counts = gen.face_counts(spec)
+    assert counts.dim == K.dim
+    assert f_vector(counts) == f_vector(K)
+    assert counts.is_pure() == K.is_pure()
+    assert counts.is_empty() is False
+
+
+@pytest.mark.parametrize("spec", _OVER_MIXED, ids=_S.to_expr)
+def test_face_counts_of_impure_unions_under_every_operator(spec):
+    K = gen.build(spec)
+    counts = gen.face_counts(spec)
+    assert (f_vector(counts), counts.is_pure()) == (f_vector(K), K.is_pure())
+    assert not K.is_pure()
+
+
+def test_face_counts_leaves_are_the_closed_forms():
+    sb = gen.face_counts(_S("simplex_boundary", (40,)))
+    assert f_vector(sb) == [comb(41, i + 1) for i in range(40)]
+    cp = gen.face_counts(_S("cross_polytope_boundary", (30,)))
+    assert f_vector(cp) == [2 ** (i + 1) * comb(30, i + 1) for i in range(30)]
+    assert f_vector(gen.face_counts(_S("polygon", (10**12,)))) == [10**12, 10**12]
+    for name in ("torus7", "projective_plane6"):
+        assert f_vector(gen.face_counts(_S(name))) == f_vector(gen.build(_S(name)))
+
+
+def cli_outcome(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@given(
+    spec=_spec_trees(),
+    names=st.lists(st.sampled_from(("ds", "formula", "proof")), min_size=1, unique=True),
+    as_json=st.booleans(),
+)
+@example(spec=_MIXED, names=["ds", "formula", "proof"], as_json=True)
+@example(spec=_S("barycentric_subdivision", (), (_MIXED,)), names=["proof"], as_json=False)
+def test_counts_report_equals_the_report_of_the_built_complex(spec, names, as_json):
+    """check --gen with only counts-reading checks prints, byte for byte, what
+    the same command prints when it is handed the built complex instead."""
+    spec, _ = pruned(spec)
+    argv = ["check", "--gen", spec.to_expr(), *names] + ["--json"] * as_json
+    from_counts = cli_outcome(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "face_counts", gen.build)
+        assert cli_outcome(argv) == from_counts
+
+
+_MALFORMED = {
+    "nonesuch": "unknown generator 'nonesuch'",
+    "torus7:3": "torus7 takes 0 integer parameter(s), got 1",
+    "polygon": "polygon takes 1 integer parameter(s), got 0",
+    "simplex_boundary:3:4": "simplex_boundary takes 1 integer parameter(s), got 2",
+    "join(torus7)": "join takes 2 complex argument(s), got 1",
+    "cone(torus7, torus7)": "cone takes 1 complex argument(s), got 2",
+    "torus7(polygon:4)": "torus7 takes 0 complex argument(s), got 1",
+    "simplex_boundary:0": "simplex_boundary needs n >= 1, got 0",
+    "cross_polytope_boundary:-1": "cross_polytope_boundary needs n >= 1, got -1",
+    "polygon:2": "polygon needs n >= 3, got 2",
+    # nested: the first bad node in the order the tree is walked, each node
+    # checked before its arguments and the arguments left to right
+    "cone(nonesuch)": "unknown generator 'nonesuch'",
+    "suspension(polygon:2)": "polygon needs n >= 3, got 2",
+    "barycentric_subdivision(simplex_boundary:0)": "simplex_boundary needs n >= 1, got 0",
+    "join(torus7, join(polygon:2, nonesuch))": "polygon needs n >= 3, got 2",
+    "join(torus7, join(nonesuch, polygon:2))": "unknown generator 'nonesuch'",
+    "disjoint_union(polygon:4, cone(torus7, polygon:2))": "cone takes 1 complex argument(s), got 2",
+    "disjoint_union(simplex_boundary:0, polygon:4:5)": "simplex_boundary needs n >= 1, got 0",
+    "cone(suspension(polygon:4, simplex_boundary:0))":
+        "suspension takes 1 complex argument(s), got 2",
+    "barycentric_subdivision:2(polygon:2)":
+        "barycentric_subdivision takes 0 integer parameter(s), got 1",
+}
+
+
+@pytest.mark.parametrize("expr", sorted(_MALFORMED))
+def test_malformed_trees_raise_the_same_error_on_both_evaluations(expr):
+    spec = cli.parse_generator_expr(expr)
+    for evaluate in (gen.build, gen.face_counts):
+        with pytest.raises(InputError) as caught:
+            evaluate(spec)
+        assert str(caught.value) == _MALFORMED[expr]

@@ -62,6 +62,9 @@ CASES = {
     "unknown_check.err": (2, ["check", "--gen", "torus7", "bogus"], "stderr"),
     "polygon6_proof_strict.err": (2, ["check", "--gen", "polygon:6", "proof"], "stderr"),
     "empty_ds_strict.err": (2, ["check", "empty.facets", "ds"], "stderr"),
+    "check_leftover_option.err": (
+        2, ["check", "nonpure.facets", "--json", "--bogus"], "stderr"
+    ),
     "batch_fixtures.txt": (1, ["batch", "."]),
     "batch_fixtures_nonpure.report.json": (
         1, ["batch", "."], "reports/nonpure.facets.report.json"
@@ -79,6 +82,20 @@ CASES = {
     ),
     "gen_projective_plane6.json": (
         0, ["gen", "projective_plane6", "-o", "pp6.json", "--format", "json"], "pp6.json"
+    ),
+    "join_bsd_torus7_polygon5_dfp.txt": (
+        1, ["check", "--gen", "join(barycentric_subdivision(torus7), polygon:5)",
+            "ds", "formula", "proof"]
+    ),
+    "join_bsd_torus7_polygon5_dfp.json": (
+        1, ["check", "--gen", "join(barycentric_subdivision(torus7), polygon:5)",
+            "ds", "formula", "proof", "--json"]
+    ),
+    "disjoint_union_torus7_polygon6_ds_formula.txt": (
+        1, ["check", "--gen", "disjoint_union(torus7, polygon:6)", "ds", "formula"]
+    ),
+    "suspension_polygon5_proof.json": (
+        0, ["check", "--gen", "suspension(polygon:5)", "proof", "--json"]
     ),
 }
 COLOR_CASE = "suspension_torus7_color.txt"
