@@ -39,6 +39,10 @@ CASES = {
     ),
     "nonpure_all.txt": (1, ["check", "nonpure.facets", "--all"]),
     "nonpure_all.json": (1, ["check", "nonpure.facets", "--all", "--json"]),
+    "nonpure_exhaustive.txt": (1, ["check", "nonpure.facets", "--all", "--exhaustive"]),
+    "nonpure_exhaustive.json": (
+        1, ["check", "nonpure.facets", "--all", "--exhaustive", "--json"]
+    ),
     "empty_all.txt": (1, ["check", "empty.facets", "--all"]),
     "info_simplex_boundary3.txt": (0, ["info", "--gen", "simplex_boundary:3"]),
     "info_simplex_boundary3.json": (0, ["info", "--gen", "simplex_boundary:3", "--json"]),
@@ -155,6 +159,21 @@ def test_cli_output_matches_golden(fixture_dir, name):
 
 def test_colored_text_matches_golden():
     assert colored_report() == (GOLDEN / COLOR_CASE).read_text(encoding="utf-8")
+
+
+TEXT_FROM_JSON = sorted(
+    name for name in CASES
+    if name.endswith(".json") and name.removesuffix(".json") + ".txt" in CASES
+)
+
+
+@pytest.mark.parametrize("name", TEXT_FROM_JSON)
+def test_text_report_is_rendered_from_the_json_report_alone(name):
+    """The text report of a command is render_text of its JSON report: each
+    line comes from the document, so each check renders only its own section."""
+    doc = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    text = (GOLDEN / (name.removesuffix(".json") + ".txt")).read_text(encoding="utf-8")
+    assert render_text(doc) + "\n" == text
 
 
 if __name__ == "__main__":
