@@ -154,25 +154,108 @@ def _ds(K, exhaustive):
     )
 
 
+# -- text report: marks, and the lines of each check's section -----------------
+
+
+def _mark(ok: bool, color: bool, words=("ok", "FAIL")) -> str:
+    word = words[0] if ok else words[1]
+    if not color:
+        return word
+    return f"\x1b[32m{word}\x1b[0m" if ok else f"\x1b[31m{word}\x1b[0m"
+
+
+def _vec(values) -> str:
+    return "(" + ", ".join(values) + ")"
+
+
+def _wit(witness) -> str:
+    if witness is None:
+        return ""
+    if isinstance(witness, list):
+        return "{" + ",".join(witness) + "}"
+    return str(witness)
+
+
+def _flag_text(sec, color):
+    line = f"flag: {'yes' if sec['holds'] else 'no'}"
+    if sec["witness"]:
+        line += f"   non-face clique: {_wit(sec['witness'])}"
+    return [line]
+
+
+def _eulerian_text(sec, color):
+    line = f"eulerian: {_mark(sec['holds'], color)}"
+    if not sec["holds"]:
+        detail = sec.get("detail", {})
+        line += f"   witness: {_wit(sec['witness'])}"
+        if detail.get("reason") == "bad_link":
+            line += f" (link chi {detail['chi_link']}, expected {detail['expected']})"
+        elif detail.get("reason") == "not_pure":
+            line += f" (facet of dimension {detail['facet_dim']})"
+        elif detail.get("reason"):
+            line += f" ({detail['reason']})"
+    return [line, *map(_failure_text, sec.get("failures", []))]
+
+
+def _failure_text(rec):
+    extra = ", ".join(f"{k} {rec[k]}" for k in ("chi_link", "expected", "facet_dim") if k in rec)
+    return f"    failure: {_wit(rec['face'])} [{rec['kind']}] {extra}".rstrip()
+
+
+def _ds_text(rows, color):
+    width = max(len("h_(d-i)-h_i"), *(len(r[k]) for r in rows for k in ("lhs", "rhs")))
+    return [
+        f"dehn-sommerville: {_mark(all(r['holds'] for r in rows), color)}",
+        f"    i | {'h_(d-i)-h_i':>{width}} | {'expected':>{width}} | holds",
+        *(f"    {r['i']} | {r['lhs']:>{width}} | {r['rhs']:>{width}} | {_mark(r['holds'], color)}"
+          for r in rows),
+    ]
+
+
+def _formula_text(sec, color):
+    line = (
+        f"main-formula: {_mark(sec['holds'], color)}   "
+        f"chi = {sec['lhs']}, half-power sum = {sec['rhs']}, "
+        f"scaled {sec['scaled_lhs']} vs {sec['scaled_rhs']}"
+    )
+    if sec["parity_warning"]:
+        line += "   [odd dimension: identity not expected to hold]"
+    return [line]
+
+
+def _proof_text(sec, color):
+    return [
+        f"proof-trace: {_mark(sec['holds'], color)}   "
+        f"A = {sec['A']}, B = {sec['B']}, C = {sec['C']}, P = {sec['P']}"
+    ]
+
+
+# -- the check table -----------------------------------------------------------
+
+
 # One row per check, in report order: selection name, document key, unmet(K)
 # (why its precondition fails, or None), run(K, exhaustive) -> (holds, section),
 # when it gates: "always", "even" (in even dimension) or "named" (only when
-# named; it is then informational and runs only when named), and what it
-# reads: "faces" or only "counts", the queries of generators.FaceCounts.
+# named; it is then informational and runs only when named), what it reads:
+# "faces" or only "counts", the queries of generators.FaceCounts, and
+# text(section, color) -> the lines of its section in the text report.
 # Runners look their check up in this module when they run, so a wrapper
 # installed later still runs.
-Check = namedtuple("Check", "name key unmet run gates reads")
+Check = namedtuple("Check", "name key unmet run gates reads text")
 CHECKS = (
     Check("flag", "is_flag", lambda K: None,
-          lambda K, _: _section(K, K.is_flag(), "holds", "witness"), "named", "faces"),
-    Check("eulerian", "is_eulerian", lambda K: None, _eulerian, "always", "faces"),
-    Check("ds", "ds_rows", _nonempty, _ds, "always", "counts"),
+          lambda K, _: _section(K, K.is_flag(), "holds", "witness"), "named", "faces",
+          _flag_text),
+    Check("eulerian", "is_eulerian", lambda K: None, _eulerian, "always", "faces",
+          _eulerian_text),
+    Check("ds", "ds_rows", _nonempty, _ds, "always", "counts", _ds_text),
     Check("formula", "main_formula", _nonempty, lambda K, _: _section(K, check_main_formula(K),
-          "lhs", "rhs", "scaled_lhs", "scaled_rhs", "holds", "parity_warning"), "even", "counts"),
+          "lhs", "rhs", "scaled_lhs", "scaled_rhs", "holds", "parity_warning"), "even", "counts",
+          _formula_text),
     Check("proof", "proof_trace",
           lambda K: _nonempty(K) or (f"dimension {K.dim} is odd" if K.dim % 2 else None),
           lambda K, _: _section(K, proof_trace(K), "A", "B", "C", "P", "holds"), "always",
-          "counts"),
+          "counts", _proof_text),
 )
 THEOREM_CHECKS = tuple(c.name for c in CHECKS if c.gates != "named")
 CHECK_NAMES = THEOREM_CHECKS + tuple(c.name for c in CHECKS if c.gates == "named")
@@ -229,90 +312,24 @@ def _use_color(stream) -> bool:
     )
 
 
-def _mark(ok: bool, color: bool, words=("ok", "FAIL")) -> str:
-    word = words[0] if ok else words[1]
-    if not color:
-        return word
-    return f"\x1b[32m{word}\x1b[0m" if ok else f"\x1b[31m{word}\x1b[0m"
-
-
-def _vec(values) -> str:
-    return "(" + ", ".join(values) + ")"
-
-
-def _wit(witness) -> str:
-    if witness is None:
-        return ""
-    if isinstance(witness, list):
-        return "{" + ",".join(witness) + "}"
-    return str(witness)
-
-
 def render_text(doc, color=False) -> str:
-    lines = []
     src = doc["input"]
     if src["kind"] == "generator":
-        lines.append(f"input: generator {src['expr']}")
+        source = f"generator {src['expr']}"
     else:
-        lines.append(f"input: file {src['path']} ({src['format']})")
-    lines.append(f"dim: {doc['dim']}")
-    lines.append(f"f-vector: {_vec(doc['f_vector'])}")
-    lines.append(f"h-vector: {_vec(doc['h_vector'])}")
-    lines.append(f"chi: {doc['chi']}")
-    lines.append(f"pure: {'yes' if doc['is_pure'] else 'no'}")
-    if "is_flag" in doc:
-        sec = doc["is_flag"]
-        line = f"flag: {'yes' if sec['holds'] else 'no'}"
-        if sec["witness"]:
-            line += f"   non-face clique: {_wit(sec['witness'])}"
-        lines.append(line)
-    if "is_eulerian" in doc:
-        sec = doc["is_eulerian"]
-        line = f"eulerian: {_mark(sec['holds'], color)}"
-        if not sec["holds"]:
-            detail = sec.get("detail", {})
-            line += f"   witness: {_wit(sec['witness'])}"
-            if detail.get("reason") == "bad_link":
-                line += f" (link chi {detail['chi_link']}, expected {detail['expected']})"
-            elif detail.get("reason") == "not_pure":
-                line += f" (facet of dimension {detail['facet_dim']})"
-            elif detail.get("reason"):
-                line += f" ({detail['reason']})"
-        lines.append(line)
-        for rec in sec.get("failures", []):
-            extra = ", ".join(
-                f"{k} {rec[k]}" for k in ("chi_link", "expected", "facet_dim") if k in rec
-            )
-            lines.append(f"    failure: {_wit(rec['face'])} [{rec['kind']}] {extra}".rstrip())
-    if "ds_rows" in doc:
-        rows = doc["ds_rows"]
-        all_hold = all(r["holds"] for r in rows)
-        lines.append(f"dehn-sommerville: {_mark(all_hold, color)}")
-        width = max(len(r["lhs"]) for r in rows)
-        width = max(width, max(len(r["rhs"]) for r in rows), len("h_(d-i)-h_i"))
-        lines.append(f"    i | {'h_(d-i)-h_i':>{width}} | {'expected':>{width}} | holds")
-        for r in rows:
-            lines.append(
-                f"    {r['i']} | {r['lhs']:>{width}} | {r['rhs']:>{width}} | {_mark(r['holds'], color)}"
-            )
-    if "main_formula" in doc:
-        sec = doc["main_formula"]
-        line = (
-            f"main-formula: {_mark(sec['holds'], color)}   "
-            f"chi = {sec['lhs']}, half-power sum = {sec['rhs']}, "
-            f"scaled {sec['scaled_lhs']} vs {sec['scaled_rhs']}"
-        )
-        if sec["parity_warning"]:
-            line += "   [odd dimension: identity not expected to hold]"
-        lines.append(line)
-    if "proof_trace" in doc:
-        sec = doc["proof_trace"]
-        lines.append(
-            f"proof-trace: {_mark(sec['holds'], color)}   "
-            f"A = {sec['A']}, B = {sec['B']}, C = {sec['C']}, P = {sec['P']}"
-        )
-    for name, reason in doc.get("skipped", {}).items():
-        lines.append(f"{name}: skipped ({reason})")
+        source = f"file {src['path']} ({src['format']})"
+    lines = [
+        f"input: {source}",
+        f"dim: {doc['dim']}",
+        f"f-vector: {_vec(doc['f_vector'])}",
+        f"h-vector: {_vec(doc['h_vector'])}",
+        f"chi: {doc['chi']}",
+        f"pure: {'yes' if doc['is_pure'] else 'no'}",
+    ]
+    for check in CHECKS:
+        if check.key in doc:
+            lines += check.text(doc[check.key], color)
+    lines += [f"{name}: skipped ({reason})" for name, reason in doc.get("skipped", {}).items()]
     if "checks_passed" in doc:
         lines.append(f"result: {_mark(doc['checks_passed'], color, ('PASS', 'FAIL'))}")
     return "\n".join(lines)
@@ -367,20 +384,27 @@ def _emit(doc, as_json):
         print(render_text(doc, color=_use_color(sys.stdout)))
 
 
+def _selection(args):
+    """(selected, named): the checks args name, and with them the theorem
+    checks under --all or "all" or when none is named.  Names are not
+    validated; an unknown one stays in both sets."""
+    names = set(args.which or [])
+    named = names - {"all"}
+    if args.all or "all" in names or not named:
+        return named | set(THEOREM_CHECKS), named
+    return named, named
+
+
 def _auditor(args):
     """Validate the check selection in args; return a function that audits one
     complex with it: (K, provenance) -> (doc with "checks_passed", verdicts)."""
-    names = set(args.which or [])
-    unknown = names - set(CHOICES)
+    unknown = set(args.which or []) - set(CHOICES)
     if unknown:
         raise InputError(f"unknown check {sorted(unknown)[0]!r}; choose from {', '.join(CHOICES)}")
-    explicit = names - {"all"}
-    selected = explicit
-    if args.all or "all" in names or not explicit:
-        selected = explicit | set(THEOREM_CHECKS)
+    selected, named = _selection(args)
 
     def audit(K, provenance):
-        doc, verdicts = build_document(K, provenance, selected, args.exhaustive, explicit)
+        doc, verdicts = build_document(K, provenance, selected, args.exhaustive, named)
         doc["checks_passed"] = False not in verdicts.values()
         return doc, verdicts
 
@@ -401,8 +425,8 @@ def cmd_check(args) -> int:
     _split_operands(args)
     # checks are validated after the input is read, as on every path; an
     # unknown name is not in COUNTS_ONLY, so it leaves this path to build
-    names = set(args.which or [])
-    K, prov = _load_input(args, counts=bool(names) and not args.all and names <= COUNTS_ONLY)
+    selected, _ = _selection(args)
+    K, prov = _load_input(args, counts=selected <= COUNTS_ONLY)
     doc, _ = _auditor(args)(K, prov)
     _emit(doc, args.json)
     return 0 if doc["checks_passed"] else 1

@@ -273,7 +273,33 @@ def test_check_table_matches_report_schema():
     assert CHECK_NAMES == ("eulerian", "ds", "formula", "proof", "flag")
     assert {check.gates for check in cli.CHECKS} <= {"always", "even", "named"}
     assert {check.reads for check in cli.CHECKS} <= {"faces", "counts"}
+    assert all(callable(check.text) for check in cli.CHECKS)
     assert cli.COUNTS_ONLY == {"ds", "formula", "proof"}
+
+
+def test_a_check_needs_only_its_row(monkeypatch):
+    """A row added to cli.CHECKS, and nothing else, runs in build_document and
+    shows in render_text, after the rows before it and before the skipped
+    lines and the result."""
+    stub = cli.Check(
+        "stub", "stub_section", lambda K: None,
+        lambda K, exhaustive: (True, {"facets": str(len(K.facets))}), "named", "faces",
+        lambda sec, color: [f"stub: {sec['facets']} facets"],
+    )
+    monkeypatch.setattr(cli, "CHECKS", cli.CHECKS + (stub,))
+    hexagon = build(parse_generator_expr("polygon:6"))
+    prov = {"kind": "generator", "expr": "polygon:6"}
+    doc, verdicts = build_document(hexagon, prov, include={"ds", "proof", "stub"})
+    assert doc["stub_section"] == {"facets": "6"}
+    assert verdicts == {"ds": True, "stub": None}
+    doc["checks_passed"] = True
+    lines = cli.render_text(doc).splitlines()
+    assert lines[-4:] == [
+        "    2 |           0 |           0 | ok",
+        "stub: 6 facets",
+        "proof: skipped (dimension 1 is odd)",
+        "result: PASS",
+    ]
 
 
 @pytest.mark.parametrize(
