@@ -7,7 +7,8 @@ The ds, formula and proof checks read only the dimension and the f-vector
 (and the report header reads purity), so `check --gen EXPR` that selects
 only those takes the face counts of EXPR in closed form
 (`generators.face_counts`) and builds no face; any other selection, and
-every other command or input, builds the complex.
+every other command or input, builds the complex.  Generator expressions
+are parsed by `generators.parse_generator_expr`.
 Every number in a JSON report is a decimal string or a reduced "p/q"
 rational; nothing is ever emitted as floating point.
 """
@@ -17,85 +18,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
 from .checks import check_main_formula, ds_residuals, is_eulerian, proof_trace
-from .complexes import SimplicialComplex
 from .errors import InputError
 from .facetio import FORMATS, detect_format, display_path, load_complex, write_facets
-from .generators import GeneratorSpec, build, face_counts
+from .generators import build, face_counts, parse_generator_expr
 from .invariants import euler_characteristic, f_vector, h_vector
 
 SCHEMA_VERSION = 1
-
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT = re.compile(r"-?[0-9]+")
-# parsing and building recurse once per level; real expressions are far shallower
-MAX_NESTING = 100
-
-
-# -- generator expression grammar: name[:p][(arg, arg)] -----------------------
-
-
-def parse_generator_expr(text: str) -> GeneratorSpec:
-    spec, pos = _parse_expr(text, 0)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise InputError(f"generator expression: unexpected {text[pos]!r} at column {pos + 1}")
-    return spec
-
-
-def _skip_ws(text, pos):
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_expr(text, pos, depth=0):
-    if depth > MAX_NESTING:
-        raise InputError(
-            f"generator expression: nested deeper than {MAX_NESTING} levels at column {pos + 1}"
-        )
-    pos = _skip_ws(text, pos)
-    m = _NAME.match(text, pos)
-    if not m:
-        raise InputError(f"generator expression: name expected at column {pos + 1}")
-    name, pos = m.group(), m.end()
-    params = []
-    while pos < len(text) and text[pos] == ":":
-        m = _INT.match(text, pos + 1)
-        if not m:
-            raise InputError(f"generator expression: integer expected at column {pos + 2}")
-        try:
-            params.append(int(m.group()))
-        except ValueError:  # longer than sys.get_int_max_str_digits()
-            raise InputError(
-                f"generator expression: integer too long at column {pos + 2}"
-            ) from None
-        pos = m.end()
-    args = []
-    ahead = _skip_ws(text, pos)
-    if ahead < len(text) and text[ahead] == "(":
-        pos = ahead + 1
-        while True:
-            spec, pos = _parse_expr(text, pos, depth + 1)
-            args.append(spec)
-            pos = _skip_ws(text, pos)
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-                continue
-            if pos < len(text) and text[pos] == ")":
-                pos += 1
-                break
-            raise InputError(
-                f"generator expression: ',' or ')' expected at column {pos + 1}"
-            )
-    return GeneratorSpec(name, tuple(params), tuple(args)), pos
-
 
 # -- exact serialization -------------------------------------------------------
 
@@ -169,8 +103,6 @@ def _vec(values) -> str:
 
 
 def _wit(witness) -> str:
-    if witness is None:
-        return ""
     if isinstance(witness, list):
         return "{" + ",".join(witness) + "}"
     return str(witness)

@@ -1,4 +1,4 @@
-"""Constructions of test complexes.
+"""Constructions of test complexes, and the generator expressions that name them.
 
 Canonical closed manifolds (simplex and cross-polytope boundaries, polygons,
 the 7-vertex torus, the 6-vertex projective plane) plus operators (cone,
@@ -6,22 +6,27 @@ suspension, join, disjoint union, barycentric subdivision).  The two surfaces
 are transcribed facet lists; their face counts, ridge incidence and vertex
 links are checked by the tests, not at each build.
 
-A generator expression (a `GeneratorSpec`) can be evaluated two ways:
-`build` makes the complex, and `face_counts` gives only its face counts and
-purity, in closed form, without making a face.  The checks that read no
-more than the dimension and the f-vector (Dehn-Sommerville, the main formula
-and the proof trace) run on either; `eulerian-kit check --gen` takes the
-counts when it runs only those.  Both evaluations walk the tree through
-`_apply`, and each leaf checks its parameter with `_at_least`, so a
-malformed expression raises the same InputError on either.
+A generator expression such as `join(polygon:5, torus7)` is parsed by
+`parse_generator_expr` into a `GeneratorSpec` tree, which `to_expr` writes
+back.  A tree can be evaluated two ways: `build` makes the complex, and
+`face_counts` gives only its face counts and purity, in closed form, without
+making a face.  The checks that read no more than the dimension and the
+f-vector (Dehn-Sommerville, the main formula and the proof trace) run on
+either; `eulerian-kit check --gen` takes the counts when it runs only those.
+Each generator is one `REGISTRY` row: its builder, its count rule and its
+arity.  Both evaluations walk the tree through `_apply`, and each leaf checks
+its parameter with `_at_least`, so a malformed expression raises the same
+InputError on either.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 from math import comb
-from operator import add
+from operator import add, attrgetter
 
 from .complexes import Face, SimplicialComplex
 from .errors import InputError
@@ -301,7 +306,7 @@ _POINT = FaceCounts((1, 1))
 _TWO_POINTS = FaceCounts((1, 2))
 
 
-# -- named access for the CLI -------------------------------------------------
+# -- generator expressions: name[:p][(arg, arg)] ------------------------------
 
 
 @dataclass(frozen=True)
@@ -321,62 +326,117 @@ class GeneratorSpec:
         return expr
 
 
-# name -> (callable, int param count, complex arg count)
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT = re.compile(r"-?[0-9]+")
+# parsing, build and face_counts recurse once per level; real expressions
+# are far shallower
+MAX_NESTING = 100
+
+
+def parse_generator_expr(text: str) -> GeneratorSpec:
+    """The GeneratorSpec that text writes; to_expr writes it back."""
+    spec, pos = _parse_expr(text, 0)
+    pos = _skip_ws(text, pos)
+    if pos != len(text):
+        raise InputError(f"generator expression: unexpected {text[pos]!r} at column {pos + 1}")
+    return spec
+
+
+def _skip_ws(text, pos):
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _parse_expr(text, pos, depth=0):
+    if depth > MAX_NESTING:
+        raise InputError(
+            f"generator expression: nested deeper than {MAX_NESTING} levels at column {pos + 1}"
+        )
+    pos = _skip_ws(text, pos)
+    m = _NAME.match(text, pos)
+    if not m:
+        raise InputError(f"generator expression: name expected at column {pos + 1}")
+    name, pos = m.group(), m.end()
+    params = []
+    while pos < len(text) and text[pos] == ":":
+        m = _INT.match(text, pos + 1)
+        if not m:
+            raise InputError(f"generator expression: integer expected at column {pos + 2}")
+        try:
+            params.append(int(m.group()))
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise InputError(
+                f"generator expression: integer too long at column {pos + 2}"
+            ) from None
+        pos = m.end()
+    args = []
+    ahead = _skip_ws(text, pos)
+    if ahead < len(text) and text[ahead] == "(":
+        pos = ahead + 1
+        while True:
+            spec, pos = _parse_expr(text, pos, depth + 1)
+            args.append(spec)
+            pos = _skip_ws(text, pos)
+            if pos < len(text) and text[pos] == ",":
+                pos += 1
+                continue
+            if pos < len(text) and text[pos] == ")":
+                pos += 1
+                break
+            raise InputError(
+                f"generator expression: ',' or ')' expected at column {pos + 1}"
+            )
+    return GeneratorSpec(name, tuple(params), tuple(args)), pos
+
+
+# -- the registry and the two evaluations --------------------------------------
+
+
+# One row per generator: build(*params, *complexes) -> SimplicialComplex,
+# counts(*params, *counts) -> the FaceCounts of its output, and its number of
+# integer params and of complex args.
+Generator = namedtuple("Generator", "build counts params args")
 REGISTRY = {
-    "simplex_boundary": (simplex_boundary, 1, 0),
-    "cross_polytope_boundary": (cross_polytope_boundary, 1, 0),
-    "polygon": (polygon, 1, 0),
-    "torus7": (torus7, 0, 0),
-    "projective_plane6": (projective_plane6, 0, 0),
-    "cone": (cone, 0, 1),
-    "suspension": (suspension, 0, 1),
-    "join": (join, 0, 2),
-    "disjoint_union": (disjoint_union, 0, 2),
-    "barycentric_subdivision": (barycentric_subdivision, 0, 1),
-}
-_BUILDERS = {name: fn for name, (fn, _, _) in REGISTRY.items()}
-# name -> the FaceCounts of its output, from those of its complex arguments
-_COUNT_RULES = {
-    "simplex_boundary": _simplex_boundary_counts,
-    "cross_polytope_boundary": _cross_polytope_counts,
-    "polygon": _polygon_counts,
-    "torus7": lambda: FaceCounts((1, 7, 21, 14)),
-    "projective_plane6": lambda: FaceCounts((1, 6, 15, 10)),
-    "cone": lambda K: _join_counts(K, _POINT),
-    "suspension": lambda K: _join_counts(K, _TWO_POINTS),
-    "join": _join_counts,
-    "disjoint_union": _disjoint_union_counts,
-    "barycentric_subdivision": _subdivision_counts,
+    "simplex_boundary": Generator(simplex_boundary, _simplex_boundary_counts, 1, 0),
+    "cross_polytope_boundary": Generator(cross_polytope_boundary, _cross_polytope_counts, 1, 0),
+    "polygon": Generator(polygon, _polygon_counts, 1, 0),
+    "torus7": Generator(torus7, lambda: FaceCounts((1, 7, 21, 14)), 0, 0),
+    "projective_plane6": Generator(projective_plane6, lambda: FaceCounts((1, 6, 15, 10)), 0, 0),
+    "cone": Generator(cone, lambda K: _join_counts(K, _POINT), 0, 1),
+    "suspension": Generator(suspension, lambda K: _join_counts(K, _TWO_POINTS), 0, 1),
+    "join": Generator(join, _join_counts, 0, 2),
+    "disjoint_union": Generator(disjoint_union, _disjoint_union_counts, 0, 2),
+    "barycentric_subdivision": Generator(barycentric_subdivision, _subdivision_counts, 0, 1),
 }
 
 
-def _apply(spec: GeneratorSpec, rules, evaluate):
-    """rules[spec.name] applied to spec's parameters and to evaluate(arg) of
-    each argument, left to right.  The node's name and arity are checked
-    first, so the two evaluations below raise the same InputError, in the
-    same order, on every malformed tree."""
-    entry = REGISTRY.get(spec.name)
-    if entry is None:
+def _apply(spec: GeneratorSpec, pick, evaluate):
+    """pick(row) of spec's REGISTRY row applied to spec's parameters and to
+    evaluate(arg) of each argument, left to right.  The node's name and
+    arity are checked first, so the two evaluations below raise the same
+    InputError, in the same order, on every malformed tree."""
+    row = REGISTRY.get(spec.name)
+    if row is None:
         raise InputError(f"unknown generator {spec.name!r}")
-    _, n_params, n_args = entry
-    if len(spec.params) != n_params:
+    if len(spec.params) != row.params:
         raise InputError(
-            f"{spec.name} takes {n_params} integer parameter(s), got {len(spec.params)}"
+            f"{spec.name} takes {row.params} integer parameter(s), got {len(spec.params)}"
         )
-    if len(spec.args) != n_args:
+    if len(spec.args) != row.args:
         raise InputError(
-            f"{spec.name} takes {n_args} complex argument(s), got {len(spec.args)}"
+            f"{spec.name} takes {row.args} complex argument(s), got {len(spec.args)}"
         )
-    return rules[spec.name](*spec.params, *map(evaluate, spec.args))
+    return pick(row)(*spec.params, *map(evaluate, spec.args))
 
 
 def build(spec: GeneratorSpec) -> SimplicialComplex:
     """Evaluate a generator spec tree."""
-    return _apply(spec, _BUILDERS, build)
+    return _apply(spec, attrgetter("build"), build)
 
 
 def face_counts(spec: GeneratorSpec) -> FaceCounts:
     """The face counts and purity of build(spec), in closed form: no face is
     made, so this costs a few polynomial products per node, whatever the
     size of the complex."""
-    return _apply(spec, _COUNT_RULES, face_counts)
+    return _apply(spec, attrgetter("counts"), face_counts)

@@ -22,13 +22,14 @@ import eulerian_kit
 from eulerian_kit import cli
 from eulerian_kit.cli import (
     CHECK_NAMES,
-    MAX_NESTING,
     build_document,
     main,
     parse_generator_expr,
 )
+from eulerian_kit.complexes import SimplicialComplex
 from eulerian_kit.errors import InputError
-from eulerian_kit.generators import build, face_counts
+from eulerian_kit.facetio import write_facets
+from eulerian_kit.generators import MAX_NESTING, build, face_counts
 
 import oracles
 
@@ -152,6 +153,47 @@ def test_json_input_parse_error_has_position(tmp_path, capsys):
 def test_missing_file_is_input_error(capsys):
     rc, _, err = run(capsys, "info", "no_such_file.facets")
     assert rc == 2
+
+
+def test_a_file_and_a_generator_together_are_an_input_error(tmp_path, capsys):
+    path = tmp_path / "t.facets"
+    path.write_text("a b\n")
+    assert run(capsys, "info", str(path), "--gen", "torus7") == (
+        2, "", "error: give either a facet file or --gen, not both\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [["info"], ["check"], ["check", "eulerian", "--json"]])
+def test_no_input_is_an_input_error(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: no input: give a facet file or --gen EXPR\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"x": 1}', "expected an object with a 'facets' key"),
+        ("[1, 2]", "expected an object with a 'facets' key"),
+        ('{"facets": 3}', "'facets' must be an array"),
+    ],
+)
+def test_json_file_without_a_facet_array_is_an_input_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(capsys, "info", str(path)) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_format_option_overrides_the_file_extension(tmp_path, capsys):
+    path = tmp_path / "triangle.facets"
+    path.write_text('{"facets": [["a", "b"], ["b", "c"], ["a", "c"]]}\n')
+    # read as plain, the line is one facet of seven tokens
+    rc, doc, _ = run_json(capsys, "info", str(path), "--json")
+    assert rc == 0
+    assert doc["input"] == {"kind": "file", "path": str(path), "format": "plain"}
+    assert doc["f_vector"] == [str(comb(7, k)) for k in range(1, 8)]
+    rc, doc, _ = run_json(capsys, "info", str(path), "--format", "json", "--json")
+    assert rc == 0
+    assert doc["input"] == {"kind": "file", "path": str(path), "format": "json"}
+    assert doc["f_vector"] == ["3", "3"]
 
 
 # -- check ------------------------------------------------------------------------
@@ -465,6 +507,14 @@ def test_gen_writes_json_facets(tmp_path, capsys):
 def test_gen_unknown_generator_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "gen", "nope:1", "-o", str(tmp_path / "x.facets"))
     assert rc == 2
+
+
+def test_plain_format_refuses_a_label_holding_a_comment_mark(tmp_path):
+    path = tmp_path / "x.facets"
+    K = SimplicialComplex.from_facets([["a#1", "b"]])
+    with pytest.raises(InputError, match="cannot round-trip in plain format"):
+        write_facets(K, path, "plain")
+    assert not path.exists()
 
 
 def test_gen_to_missing_directory_is_an_input_error(tmp_path, capsys):

@@ -339,11 +339,10 @@ def build_checked(spec, check=assert_same_as_closure):
     """Evaluate a spec tree, calling check on every complex it builds.  An
     operator whose result would be large returns its first argument
     instead, so that every tree stays small."""
-    fn, _, _ = gen.REGISTRY[spec.name]
     args = [build_checked(a, check) for a in spec.args]
     if too_large(spec.name, args):
         return args[0]
-    K = fn(*spec.params, *args)
+    K = gen.REGISTRY[spec.name].build(*spec.params, *args)
     check(K)
     return K
 
@@ -355,18 +354,20 @@ _PARAMS = {
 }
 
 
-def _spec_trees():
-    leaves = st.sampled_from(sorted(n for n, entry in gen.REGISTRY.items() if not entry[2]))
+def _spec_trees(leaf_param=_PARAMS.__getitem__):
+    """Random REGISTRY trees of at most four leaves; leaf_param(name) draws
+    each integer parameter of a leaf (by default, one that keeps it small)."""
+    leaves = st.sampled_from(sorted(n for n, row in gen.REGISTRY.items() if not row.args))
     leaves = leaves.flatmap(
-        lambda name: st.tuples(*(_PARAMS[name] for _ in range(gen.REGISTRY[name][1]))).map(
+        lambda name: st.tuples(*map(leaf_param, [name] * gen.REGISTRY[name].params)).map(
             lambda params: gen.GeneratorSpec(name, params)
         )
     )
-    operators = sorted(n for n, entry in gen.REGISTRY.items() if entry[2])
+    operators = sorted(n for n, row in gen.REGISTRY.items() if row.args)
 
     def applied(children):
         return st.sampled_from(operators).flatmap(
-            lambda name: st.tuples(*[children] * gen.REGISTRY[name][2]).map(
+            lambda name: st.tuples(*[children] * gen.REGISTRY[name].args).map(
                 lambda args: gen.GeneratorSpec(name, (), args)
             )
         )
@@ -495,8 +496,8 @@ def pruned(spec):
     specs, built = zip(*map(pruned, spec.args))
     if too_large(spec.name, built):
         return specs[0], built[0]
-    fn, _, _ = gen.REGISTRY[spec.name]
-    return _S(spec.name, spec.params, specs), fn(*spec.params, *built)
+    K = gen.REGISTRY[spec.name].build(*spec.params, *built)
+    return _S(spec.name, spec.params, specs), K
 
 
 _TORUS = _S("torus7")
@@ -596,6 +597,14 @@ _MALFORMED = {
     "barycentric_subdivision:2(polygon:2)":
         "barycentric_subdivision takes 0 integer parameter(s), got 1",
 }
+
+
+@given(spec=_spec_trees(lambda name: st.integers()))
+@example(spec=_S("polygon", (-3,)))
+def test_expressions_round_trip(spec):
+    """The grammar reads back what to_expr writes, whatever the integer
+    parameters: it accepts -?[0-9]+, and checks no range."""
+    assert gen.parse_generator_expr(spec.to_expr()) == spec
 
 
 @pytest.mark.parametrize("expr", sorted(_MALFORMED))
