@@ -46,7 +46,7 @@ from itertools import chain, combinations, repeat
 from math import comb
 
 from .complexes import Face, SimplicialComplex
-from .errors import InputError
+from .errors import InputError, PreconditionError
 from .invariants import (
     euler_characteristic,
     f_poly_eval,
@@ -149,11 +149,11 @@ def is_eulerian(K: SimplicialComplex, exhaustive: bool = False) -> CheckReport:
 def ds_residuals(K: SimplicialComplex) -> tuple[list[DSResidualRow], CheckReport]:
     """Dehn-Sommerville residual rows for i = 0..d, plus a summary report.
 
-    Rows are computed for any nonempty complex; they are all guaranteed to
-    hold only when the complex is Eulerian.
+    Raises PreconditionError on the empty complex; the rows are all
+    guaranteed to hold only when the complex is Eulerian.
     """
     if K.is_empty():
-        raise InputError("Dehn-Sommerville residuals need a nonempty complex")
+        raise PreconditionError("empty complex")
     h = h_vector(K)
     d = K.dim + 1
     chi = euler_characteristic(K)
@@ -179,10 +179,10 @@ def check_main_formula(K: SimplicialComplex) -> CheckReport:
     2^dim * chi = sum_i (-1)^i 2^{dim-i} f_i; the reduced rational sum is
     reported alongside for readability.  The identity is only guaranteed for
     even-dimensional Eulerian complexes; odd-dimensional input is reported
-    with a parity warning instead of an error.
+    with a parity warning, and the empty complex raises PreconditionError.
     """
     if K.is_empty():
-        raise InputError("the formula check needs a nonempty complex")
+        raise PreconditionError("empty complex")
     fv = f_vector(K)
     dim = K.dim
     chi = euler_characteristic(K)
@@ -214,12 +214,12 @@ def proof_trace(K: SimplicialComplex) -> CheckReport:
     A = C and A = P are pure substitution identities and hold for every
     complex; A = B holds exactly when the Dehn-Sommerville residuals do, so
     the per-component booleans show which step breaks on a non-Eulerian
-    complex.
+    complex.  An empty or odd-dimensional K raises PreconditionError.
     """
     if K.is_empty():
-        raise InputError("the trace needs a nonempty complex")
-    if K.dim % 2 != 0:
-        raise InputError(f"the trace is defined for even dimension, got {K.dim}")
+        raise PreconditionError("empty complex")
+    if K.dim % 2:
+        raise PreconditionError(f"dimension {K.dim} is odd")
     m = K.dim // 2
     d = K.dim + 1
     h = h_vector(K)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .checks import check_main_formula, ds_residuals, is_eulerian, proof_trace
-from .errors import InputError
+from .errors import InputError, PreconditionError
 from .facetio import FORMATS, detect_format, display_path, load_complex, write_facets
 from .generators import build, face_counts, parse_generator_expr
 from .invariants import euler_characteristic, f_vector, h_vector
@@ -64,10 +64,6 @@ def _section(K, rep, *keys):
     """(holds, the named fields of a CheckReport in this order, encoded by _exact)."""
     fields = {"holds": rep.holds, "witness": rep.witness, **rep.values}
     return rep.holds, {key: _exact(K, fields[key]) for key in keys}
-
-
-def _nonempty(K):
-    return "empty complex" if K.is_empty() else None
 
 
 def _eulerian(K, exhaustive):
@@ -165,27 +161,25 @@ def _proof_text(sec, color):
 # -- the check table -----------------------------------------------------------
 
 
-# One row per check, in report order: selection name, document key, unmet(K)
-# (why its precondition fails, or None), run(K, exhaustive) -> (holds, section),
-# when it gates: "always", "even" (in even dimension) or "named" (only when
-# named; it is then informational and runs only when named), what it reads:
-# "faces" or only "counts", the queries of generators.FaceCounts, and
-# text(section, color) -> the lines of its section in the text report.
+# One row per check, in report order: selection name, document key,
+# run(K, exhaustive) -> (holds, section), when it gates: "always", "even" (in
+# even dimension) or "named" (only when named; it is then informational and
+# runs only when named), what it reads: "faces" or only "counts", the queries
+# of generators.FaceCounts, and text(section, color) -> the lines of its
+# section in the text report.  A check's precondition is its library
+# function's PreconditionError, whose message is the reason it is skipped.
 # Runners look their check up in this module when they run, so a wrapper
 # installed later still runs.
-Check = namedtuple("Check", "name key unmet run gates reads text")
+Check = namedtuple("Check", "name key run gates reads text")
 CHECKS = (
-    Check("flag", "is_flag", lambda K: None,
-          lambda K, _: _section(K, K.is_flag(), "holds", "witness"), "named", "faces",
-          _flag_text),
-    Check("eulerian", "is_eulerian", lambda K: None, _eulerian, "always", "faces",
-          _eulerian_text),
-    Check("ds", "ds_rows", _nonempty, _ds, "always", "counts", _ds_text),
-    Check("formula", "main_formula", _nonempty, lambda K, _: _section(K, check_main_formula(K),
+    Check("flag", "is_flag", lambda K, _: _section(K, K.is_flag(), "holds", "witness"),
+          "named", "faces", _flag_text),
+    Check("eulerian", "is_eulerian", _eulerian, "always", "faces", _eulerian_text),
+    Check("ds", "ds_rows", _ds, "always", "counts", _ds_text),
+    Check("formula", "main_formula", lambda K, _: _section(K, check_main_formula(K),
           "lhs", "rhs", "scaled_lhs", "scaled_rhs", "holds", "parity_warning"), "even", "counts",
           _formula_text),
     Check("proof", "proof_trace",
-          lambda K: _nonempty(K) or (f"dimension {K.dim} is odd" if K.dim % 2 else None),
           lambda K, _: _section(K, proof_trace(K), "A", "B", "C", "P", "holds"), "always",
           "counts", _proof_text),
 )
@@ -203,15 +197,16 @@ def build_document(K, provenance, include, exhaustive=False, strict=()):
 
     The rows of CHECKS named in include run in table order.  A verdict is
     True or False, or None where the row does not gate.  A check whose
-    precondition fails is recorded under "skipped", or raises InputError
-    when named in strict; checks named in strict always gate.
+    runner raises PreconditionError is recorded under "skipped" with its
+    reason, or raises InputError when named in strict; checks named in
+    strict always gate.  The dimension and f-vector are encoded before the
+    h-vector is computed, so one too long to print fails first.
     """
     doc = {
         "schema_version": SCHEMA_VERSION,
         "input": provenance,
+        **_exact(K, {"dim": K.dim, "f_vector": f_vector(K)}),
         **_exact(K, {
-            "dim": K.dim,
-            "f_vector": f_vector(K),
             "h_vector": h_vector(K),
             "chi": euler_characteristic(K),
             "is_pure": K.is_pure(),
@@ -220,12 +215,13 @@ def build_document(K, provenance, include, exhaustive=False, strict=()):
     verdicts = {}
     skipped = {}
     for check in (c for c in CHECKS if c.name in include):
-        if unmet := check.unmet(K):
+        try:
+            holds, doc[check.key] = check.run(K, exhaustive)
+        except PreconditionError as e:
             if check.name in strict:
-                raise InputError(f"check {check.name!r}: {unmet}")
-            skipped[check.name] = unmet
+                raise InputError(f"check {check.name!r}: {e}") from None
+            skipped[check.name] = str(e)
             continue
-        holds, doc[check.key] = check.run(K, exhaustive)
         gates = check.gates == "always" or (check.gates == "even" and K.dim % 2 == 0)
         verdicts[check.name] = holds if gates or check.name in strict else None
     if skipped:

@@ -10,8 +10,6 @@ complex, pure or not.
 
 from __future__ import annotations
 
-from math import comb
-
 from .complexes import SimplicialComplex
 
 
@@ -41,15 +39,14 @@ def f_poly_eval(K: SimplicialComplex, t: int) -> int:
 def h_vector(K: SimplicialComplex) -> list[int]:
     """Coefficients (h_0, ..., h_d) of f(t-1) in descending powers of t.
 
-    Computed by the exact binomial transform of the face polynomial; entries
-    may be negative.
+    Computed by the Taylor shift of the face polynomial by -1: repeated
+    synthetic division by t + 1, in subtractions only; entries may be negative.
     """
-    c = f_polynomial(K)
-    d = K.dim + 1
-    return [
-        sum(c[i] * comb(d - i, k - i) * (-1) ** (k - i) for i in range(k + 1))
-        for k in range(d + 1)
-    ]
+    h = f_polynomial(K)
+    for end in range(len(h) - 1, 0, -1):
+        for i in range(1, end + 1):
+            h[i] -= h[i - 1]
+    return h
 
 
 def h_poly_eval(K: SimplicialComplex, t: int) -> int:

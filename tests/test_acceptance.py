@@ -282,3 +282,16 @@ def test_criterion_9_exhaustive_audit_on_twice_subdivided_complexes(capsys):
         assert elapsed < 5.0
 
     _criterion(9, "exhaustive audits of two twice-subdivided complexes under 5s each", body)
+
+
+def test_criterion_10_huge_leaf_on_the_counts_path(capsys):
+    def body():
+        start = time.monotonic()
+        rc, doc = _run_check_json(capsys, "--gen", "simplex_boundary:1500", "ds")
+        elapsed = time.monotonic() - start
+        assert rc == 0
+        assert doc["h_vector"] == ["1"] * 1501
+        assert all(row["holds"] for row in doc["ds_rows"])
+        assert elapsed < 10.0
+
+    _criterion(10, "Dehn-Sommerville rows of the 1499-sphere simplex boundary under 10s", body)

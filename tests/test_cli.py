@@ -27,9 +27,11 @@ from eulerian_kit.cli import (
     parse_generator_expr,
 )
 from eulerian_kit.complexes import SimplicialComplex
-from eulerian_kit.errors import InputError
+from eulerian_kit.checks import check_main_formula, ds_residuals, proof_trace
+from eulerian_kit.errors import InputError, PreconditionError
 from eulerian_kit.facetio import write_facets
-from eulerian_kit.generators import MAX_NESTING, build, face_counts
+from eulerian_kit.generators import MAX_NESTING, FaceCounts, build, face_counts
+from eulerian_kit.invariants import f_vector
 
 import oracles
 
@@ -324,7 +326,7 @@ def test_a_check_needs_only_its_row(monkeypatch):
     shows in render_text, after the rows before it and before the skipped
     lines and the result."""
     stub = cli.Check(
-        "stub", "stub_section", lambda K: None,
+        "stub", "stub_section",
         lambda K, exhaustive: (True, {"facets": str(len(K.facets))}), "named", "faces",
         lambda sec, color: [f"stub: {sec['facets']} facets"],
     )
@@ -350,15 +352,68 @@ def test_a_check_needs_only_its_row(monkeypatch):
 @pytest.mark.parametrize("check", [c for c in cli.CHECKS if c.reads == "counts"], ids=str)
 def test_counts_rows_run_on_face_counts(expr, check):
     """A row marked counts-only runs on a FaceCounts, which has no faces, and
-    gives the section and verdict it gives on the built complex; a row that
-    reads faces but is marked counts-only fails here."""
+    gives the section and verdict, or the skip reason, it gives on the built
+    complex; a row that reads faces but is marked counts-only fails here."""
     spec = parse_generator_expr(expr)
     prov = {"kind": "generator", "expr": expr}
     counts, K = face_counts(spec), build(spec)
-    assert check.unmet(counts) == check.unmet(K)
-    if check.unmet(K) is None:
-        assert check.run(counts, False) == check.run(K, False)
+    assert run_or_reason(check, counts) == run_or_reason(check, K)
     assert build_document(counts, prov, {check.name}) == build_document(K, prov, {check.name})
+
+
+def run_or_reason(check, K):
+    """check.run(K, False), or the reason of the PreconditionError it raises."""
+    try:
+        return check.run(K, False)
+    except PreconditionError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("as_counts", [False, True], ids=["complex", "counts"])
+@pytest.mark.parametrize(
+    "facets, name, reason",
+    [
+        ([], "ds", "empty complex"),
+        ([], "formula", "empty complex"),
+        ([], "proof", "empty complex"),
+        ([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]], "proof", "dimension 1 is odd"),
+    ],
+    ids=["empty-ds", "empty-formula", "empty-proof", "hexagon-proof"],
+)
+def test_a_precondition_is_stated_once_by_the_library(facets, name, reason, as_counts):
+    """The library function raises PreconditionError, an InputError, and its
+    message is the reason build_document records under "skipped", and
+    reports as an InputError when the check is named."""
+    K = SimplicialComplex.from_facets([[str(v) for v in f] for f in facets])
+    if as_counts:
+        K = FaceCounts((1, *f_vector(K)))
+    library = {"ds": ds_residuals, "formula": check_main_formula, "proof": proof_trace}[name]
+    with pytest.raises(PreconditionError, match=f"^{reason}$") as caught:
+        library(K)
+    assert isinstance(caught.value, InputError)
+    prov = {"kind": "generator", "expr": "x"}
+    doc, verdicts = build_document(K, prov, {name})
+    assert (doc["skipped"], verdicts) == ({name: reason}, {})
+    with pytest.raises(InputError, match=f"^check '{name}': {reason}$"):
+        build_document(K, prov, {name}, strict={name})
+
+
+def test_a_runner_input_error_is_not_a_skip(monkeypatch, capsys):
+    """Only PreconditionError skips a check: any other InputError from a
+    runner leaves build_document, and the command exits 2."""
+
+    def fails(K, exhaustive):
+        raise InputError("runner failed")
+
+    stub = cli.Check("stub", "stub_section", fails, "always", "faces", lambda sec, color: [])
+    monkeypatch.setattr(cli, "CHECKS", cli.CHECKS + (stub,))
+    monkeypatch.setattr(cli, "CHOICES", cli.CHOICES + ("stub",))
+    hexagon = build(parse_generator_expr("polygon:6"))
+    with pytest.raises(InputError, match="^runner failed$") as caught:
+        build_document(hexagon, {"kind": "generator", "expr": "polygon:6"}, {"ds", "stub"})
+    assert not isinstance(caught.value, PreconditionError)
+    rc, out, err = run(capsys, "check", "--gen", "polygon:6", "ds", "stub")
+    assert (rc, out, err) == (2, "", "error: runner failed\n")
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerian_kit import (
     SimplicialComplex,
@@ -14,6 +16,7 @@ from eulerian_kit import (
     h_vector,
 )
 from eulerian_kit import generators as gen
+from eulerian_kit.generators import FaceCounts
 
 import oracles
 
@@ -144,6 +147,12 @@ def test_chi_of_join_inclusion_exclusion():
 def test_chi_invariant_under_barycentric_subdivision():
     for K in _corpus():
         assert euler_characteristic(gen.barycentric_subdivision(K)) == euler_characteristic(K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 10**30), max_size=39))
+def test_h_vector_of_any_counts_matches_symbolic_expansion(f):
+    assert h_vector(FaceCounts((1, *f))) == oracles.h_coeffs(f)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
