@@ -59,6 +59,15 @@ CASES = {
          "--json"],
     ),
     "info_join_torus7_polygon4.txt": (0, ["info", "--gen", "join(torus7, polygon:4)"]),
+    "info_join_polygon4_simplex_boundary2.json": (
+        0, ["info", "--gen", "join(polygon:4, simplex_boundary:2)", "--json"]
+    ),
+    "info_disjoint_union_simplex_boundary3_projective_plane6.txt": (
+        0, ["info", "--gen", "disjoint_union(simplex_boundary:3, projective_plane6)"]
+    ),
+    "info_join_bsd_torus7_polygon3.txt": (
+        0, ["info", "--gen", "join(barycentric_subdivision(torus7), polygon:3)"]
+    ),
     "help.txt": (0, ["--help"]),
     "info_help.txt": (0, ["info", "--help"]),
     "check_help.txt": (0, ["check", "--help"]),
