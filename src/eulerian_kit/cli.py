@@ -4,11 +4,12 @@ Subcommands: info (invariants only), check (theorem audits), gen (write a
 generator's facet file), batch (check every facet file in a directory).
 Exit codes: 0 all selected checks hold, 1 a check failed, 2 input error.
 The ds, formula and proof checks read only the dimension and the f-vector
-(and the report header reads purity), so `check --gen EXPR` that selects
-only those takes the face counts of EXPR in closed form
-(`generators.face_counts`) and builds no face; any other selection, and
-every other command or input, builds the complex.  Generator expressions
-are parsed by `generators.parse_generator_expr`.
+(and the report header reads purity), and the flag check of a generator
+expression only its flag witness, so `info --gen EXPR`, and `check --gen
+EXPR` that selects only those, take the face counts and flag witness of
+EXPR in closed form (`generators.face_counts`) and build no face; any other
+selection, gen, batch and every facet file build the complex.  Generator
+expressions are parsed by `generators.parse_generator_expr`.
 Every number in a JSON report is a decimal string or a reduced "p/q"
 rational; nothing is ever emitted as floating point.
 """
@@ -173,7 +174,7 @@ def _proof_text(sec, color):
 Check = namedtuple("Check", "name key run gates reads text")
 CHECKS = (
     Check("flag", "is_flag", lambda K, _: _section(K, K.is_flag(), "holds", "witness"),
-          "named", "faces", _flag_text),
+          "named", "counts", _flag_text),
     Check("eulerian", "is_eulerian", _eulerian, "always", "faces", _eulerian_text),
     Check("ds", "ds_rows", _ds, "always", "counts", _ds_text),
     Check("formula", "main_formula", lambda K, _: _section(K, check_main_formula(K),
@@ -343,7 +344,7 @@ def cmd_info(args) -> int:
     args.path = args.operands[0] if args.operands else None
     if len(args.operands or []) > 1:
         raise InputError("info takes a single facet file")
-    K, prov = _load_input(args)
+    K, prov = _load_input(args, counts={"flag"} <= COUNTS_ONLY)
     doc, _ = build_document(K, prov, include={"flag"})
     _emit(doc, args.json)
     return 0

@@ -9,10 +9,11 @@ links are checked by the tests, not at each build.
 A generator expression such as `join(polygon:5, torus7)` is parsed by
 `parse_generator_expr` into a `GeneratorSpec` tree, which `to_expr` writes
 back.  A tree can be evaluated two ways: `build` makes the complex, and
-`face_counts` gives only its face counts and purity, in closed form, without
-making a face.  The checks that read no more than the dimension and the
-f-vector (Dehn-Sommerville, the main formula and the proof trace) run on
-either; `eulerian-kit check --gen` takes the counts when it runs only those.
+`face_counts` gives only its face counts, purity and flag witness, in
+closed form, without making a face.  The checks that read no more than the
+dimension and the f-vector (Dehn-Sommerville, the main formula and the
+proof trace), and the flag test, run on either; `eulerian-kit info --gen`
+takes the counts, and `check --gen` does when it runs only those.
 Each generator is one `REGISTRY` row: its builder, its count rule and its
 arity.  Both evaluations walk the tree through `_apply`, and each leaf checks
 its parameter with `_at_least`, so a malformed expression raises the same
@@ -30,6 +31,7 @@ from operator import add, attrgetter
 
 from .complexes import Face, SimplicialComplex
 from .errors import InputError
+from .reports import CheckReport
 
 
 def _at_least(least: int, name: str, n: int) -> None:
@@ -226,16 +228,24 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
 
 @dataclass(frozen=True)
 class FaceCounts:
-    """The face counts and purity of a complex, without its faces.
+    """The face counts, purity and flag witness of a complex, without its faces.
 
     by_size[s] counts the faces with s vertices: by_size[0] = 1 is the empty
-    face and by_size[i + 1] = f_i.  It answers the queries of
-    SimplicialComplex that the f-vector and the checks built on it read:
-    dim, f_count, is_empty and is_pure.
+    face and by_size[i + 1] = f_i.  witness is the clique that
+    SimplicialComplex.is_flag returns, the lex-least of the least non-face
+    cliques, as vertex ids; None when the complex is flag.  digits are the
+    digit-shaped labels ("3", "3''"), the only ones a witness can carry and
+    the only ones its labels can collide with: runs (lo, hi, offset, primes),
+    in id order, giving vertex n + offset the label of n with that many
+    primes for lo <= n < hi.  It answers the queries of SimplicialComplex
+    that the f-vector and the checks built on it read: dim, f_count,
+    is_empty, is_pure, is_flag, and labels_of for the witness's vertices.
     """
 
     by_size: tuple[int, ...]
     pure: bool = True
+    witness: Face | None = None
+    digits: tuple[tuple[int, int, int, int], ...] = ()
 
     @property
     def dim(self) -> int:
@@ -251,21 +261,71 @@ class FaceCounts:
     def is_pure(self) -> bool:
         return self.pure
 
+    def labels_of(self, face: Face) -> tuple[str, ...]:
+        """The labels of vertices with digit-shaped labels, as the witness's."""
+        return tuple(map(self._digit_label, face))
+
+    def _digit_label(self, v: int) -> str:
+        for lo, hi, offset, primes in self.digits:
+            if lo <= v - offset < hi:
+                return str(v - offset) + "'" * primes
+        raise KeyError(f"vertex {v} has no digit-shaped label")
+
+    def is_flag(self) -> CheckReport:
+        if self.witness is None:
+            return CheckReport(holds=True)
+        labels = self.labels_of(self.witness)
+        return CheckReport(holds=False, witness=self.witness, values={"witness_labels": labels})
+
+
+def _numbered(by_size: tuple[int, ...], witness: Face | None = None) -> FaceCounts:
+    """The FaceCounts of a leaf whose vertex labels are its ids in decimal."""
+    return FaceCounts(by_size, witness=witness, digits=((0, by_size[1], 0, 0),))
+
 
 def _simplex_boundary_counts(n: int) -> FaceCounts:
+    # C(n + 1, s) from C(n + 1, s - 1); the n + 1 vertices are the only
+    # non-face clique once they span edges
     _at_least(1, "simplex_boundary", n)
-    return FaceCounts(tuple(comb(n + 1, s) for s in range(n + 1)))
+    by_size = itertools.accumulate(range(n), lambda c, s: c * (n + 1 - s) // (s + 1), initial=1)
+    return _numbered(tuple(by_size), tuple(range(n + 1)) if n >= 2 else None)
 
 
 def _cross_polytope_counts(n: int) -> FaceCounts:
-    # a face picks s of the n axes and one pole of each
+    # a face picks s of the n axes and one pole of each: 2^s C(n, s)
     _at_least(1, "cross_polytope_boundary", n)
-    return FaceCounts(tuple(2**s * comb(n, s) for s in range(n + 1)))
+    by_size = itertools.accumulate(range(n), lambda c, s: c * 2 * (n - s) // (s + 1), initial=1)
+    return FaceCounts(tuple(by_size))
 
 
 def _polygon_counts(n: int) -> FaceCounts:
     _at_least(3, "polygon", n)
-    return FaceCounts((1, n, n))
+    return _numbered((1, n, n), (0, 1, 2) if n == 3 else None)
+
+
+def _merged(A: FaceCounts, B: FaceCounts, by_size, pure: bool) -> FaceCounts:
+    """The FaceCounts of a join or disjoint union of A and B with these
+    counts.  B's ids shift up by A's vertex count and its labels take the
+    primes _merge_labels gives them.  Each clique of either is a union of a
+    clique of each side, and a non-face when a part is, so the least
+    non-face cliques are A's or B's, and A's come first on a tie."""
+    shift = A.by_size[1]
+    witness = A.witness
+    if B.witness is not None and (witness is None or len(B.witness) < len(witness)):
+        witness = tuple(v + shift for v in B.witness)
+    digits = list(A.digits)
+    for lo, hi, offset, primes in B.digits:
+        # cut [lo, hi) where a run so far starts or ends, so that the primes
+        # in use are the same across each piece; as in _fresh_label, a piece
+        # takes the fewest primes, at least its own, that are not in use
+        cuts = sorted({lo, hi, *(n for run in digits for n in run[:2] if lo < n < hi)})
+        for start, stop in zip(cuts, cuts[1:]):
+            used = {run[3] for run in digits if run[0] <= start < run[1]}
+            fresh = primes
+            while fresh in used:
+                fresh += 1
+            digits.append((start, stop, offset + shift, fresh))
+    return FaceCounts(tuple(by_size), pure, witness, tuple(digits))
 
 
 def _join_counts(A: FaceCounts, B: FaceCounts) -> FaceCounts:
@@ -275,7 +335,7 @@ def _join_counts(A: FaceCounts, B: FaceCounts) -> FaceCounts:
     for i, a in enumerate(A.by_size):
         for j, b in enumerate(B.by_size):
             by_size[i + j] += a * b
-    return FaceCounts(tuple(by_size), A.pure and B.pure)
+    return _merged(A, B, by_size, A.pure and B.pure)
 
 
 def _disjoint_union_counts(A: FaceCounts, B: FaceCounts) -> FaceCounts:
@@ -283,7 +343,7 @@ def _disjoint_union_counts(A: FaceCounts, B: FaceCounts) -> FaceCounts:
     are pure of one dimension (every generator makes a nonempty complex)."""
     by_size = [a + b for a, b in itertools.zip_longest(A.by_size, B.by_size, fillvalue=0)]
     by_size[0] = 1
-    return FaceCounts(tuple(by_size), A.pure and B.pure and A.dim == B.dim)
+    return _merged(A, B, by_size, A.pure and B.pure and A.dim == B.dim)
 
 
 def _onto(i: int, j: int) -> int:
@@ -296,12 +356,14 @@ def _subdivision_counts(K: FaceCounts) -> FaceCounts:
     topped by one face with i vertices are the ordered partitions of it into
     j blocks, j! S(i, j) of them.  Its facets are the maximal chains, each
     as long as its top facet, so purity carries over.  (j = 0 gives the
-    empty face alone: _onto(i, 0) is 1 for i = 0 and 0 otherwise.)"""
+    empty face alone: _onto(i, 0) is 1 for i = 0 and 0 otherwise.)  It is
+    flag, and its labels b{...} are not digit-shaped."""
     sizes = range(len(K.by_size))
     by_size = (sum(c * _onto(i, j) for i, c in enumerate(K.by_size)) for j in sizes)
     return FaceCounts(tuple(by_size), K.pure)
 
 
+# the sides of a cone and of a suspension: flag, labeled apex, apex0, apex1
 _POINT = FaceCounts((1, 1))
 _TWO_POINTS = FaceCounts((1, 2))
 
@@ -401,8 +463,10 @@ REGISTRY = {
     "simplex_boundary": Generator(simplex_boundary, _simplex_boundary_counts, 1, 0),
     "cross_polytope_boundary": Generator(cross_polytope_boundary, _cross_polytope_counts, 1, 0),
     "polygon": Generator(polygon, _polygon_counts, 1, 0),
-    "torus7": Generator(torus7, lambda: FaceCounts((1, 7, 21, 14)), 0, 0),
-    "projective_plane6": Generator(projective_plane6, lambda: FaceCounts((1, 6, 15, 10)), 0, 0),
+    "torus7": Generator(torus7, lambda: _numbered((1, 7, 21, 14), (0, 1, 2)), 0, 0),
+    "projective_plane6": Generator(
+        projective_plane6, lambda: _numbered((1, 6, 15, 10), (0, 1, 3)), 0, 0
+    ),
     "cone": Generator(cone, lambda K: _join_counts(K, _POINT), 0, 1),
     "suspension": Generator(suspension, lambda K: _join_counts(K, _TWO_POINTS), 0, 1),
     "join": Generator(join, _join_counts, 0, 2),

@@ -23,6 +23,7 @@ from eulerian_kit import (
     is_eulerian,
     proof_trace,
 )
+from eulerian_kit import cli
 from eulerian_kit import generators as gen
 from eulerian_kit.cli import main
 
@@ -295,3 +296,37 @@ def test_criterion_10_huge_leaf_on_the_counts_path(capsys):
         assert elapsed < 10.0
 
     _criterion(10, "Dehn-Sommerville rows of the 1499-sphere simplex boundary under 10s", body)
+
+
+def test_criterion_11_flag_from_the_count_rules(capsys, monkeypatch):
+    def unbuilt(spec):
+        raise AssertionError(f"built {spec.to_expr()}")
+
+    def body():
+        monkeypatch.setattr(cli, "build", unbuilt)
+        nested = "torus7"
+        for _ in range(6):
+            nested = f"barycentric_subdivision({nested})"
+        start = time.monotonic()
+        rc = main(["info", "--gen", nested])
+        out = capsys.readouterr().out
+        assert time.monotonic() - start < 1.0
+        assert rc == 0
+        assert "f-vector: (326592, 979776, 653184)" in out
+        assert out.splitlines()[-1] == "flag: yes"
+
+        start = time.monotonic()
+        rc = main(["info", "--gen", "join(simplex_boundary:40, simplex_boundary:40)", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert time.monotonic() - start < 1.0
+        assert rc == 0
+        assert doc["is_flag"] == {"holds": False, "witness": [str(i) for i in range(41)]}
+
+        start = time.monotonic()
+        rc = main(["check", "--gen", "simplex_boundary:41", "flag"])
+        out = capsys.readouterr().out
+        assert time.monotonic() - start < 1.0
+        assert rc == 1
+        assert "flag: no   non-face clique: {" + ",".join(map(str, range(42))) + "}" in out
+
+    _criterion(11, "flag verdict and witness of unbuildable expressions in under 1s each", body)

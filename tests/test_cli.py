@@ -29,7 +29,7 @@ from eulerian_kit.cli import (
 from eulerian_kit.complexes import SimplicialComplex
 from eulerian_kit.checks import check_main_formula, ds_residuals, proof_trace
 from eulerian_kit.errors import InputError, PreconditionError
-from eulerian_kit.facetio import write_facets
+from eulerian_kit.facetio import load_complex, write_facets
 from eulerian_kit.generators import MAX_NESTING, FaceCounts, build, face_counts
 from eulerian_kit.invariants import f_vector
 
@@ -318,7 +318,7 @@ def test_check_table_matches_report_schema():
     assert {check.gates for check in cli.CHECKS} <= {"always", "even", "named"}
     assert {check.reads for check in cli.CHECKS} <= {"faces", "counts"}
     assert all(callable(check.text) for check in cli.CHECKS)
-    assert cli.COUNTS_ONLY == {"ds", "formula", "proof"}
+    assert cli.COUNTS_ONLY == {"ds", "formula", "proof", "flag"}
 
 
 def test_a_check_needs_only_its_row(monkeypatch):
@@ -427,9 +427,9 @@ def test_a_runner_input_error_is_not_a_skip(monkeypatch, capsys):
         (["ds", "formula", "proof", "--all"], 1),
         (["ds", "all"], 1),
         ([], 1),
-        (["flag"], 1),
+        (["flag"], 0),
         (["eulerian"], 1),
-        (["ds", "flag"], 1),
+        (["ds", "flag"], 0),
         (["formula", "eulerian"], 1),
     ],
 )
@@ -441,16 +441,26 @@ def test_check_builds_only_when_a_selected_check_reads_faces(monkeypatch, capsys
     assert len(calls) == builds
 
 
-def test_info_and_files_always_build(monkeypatch, capsys, tmp_path):
-    calls = []
-    monkeypatch.setattr(cli, "build", lambda spec: calls.append(spec) or build(spec))
-    monkeypatch.setattr(cli, "face_counts", None)
-    assert run(capsys, "info", "--gen", "torus7")[0] == 0
-    assert len(calls) == 1
+def test_info_gen_builds_nothing_and_files_build(monkeypatch, capsys, tmp_path):
+    """info --gen reads the flag witness from the count rules and builds
+    nothing; a facet file is read into a complex by every command."""
+
+    def fails(spec):
+        raise AssertionError(f"evaluated {spec.to_expr()}")
+
+    monkeypatch.setattr(cli, "build", fails)
+    rc, out, _ = run(capsys, "info", "--gen", "torus7")
+    assert (rc, out.splitlines()[-1]) == (0, "flag: no   non-face clique: {0,1,2}")
+    monkeypatch.setattr(cli, "face_counts", fails)
+    loads = []
+    monkeypatch.setattr(cli, "load_complex", lambda *a: loads.append(a) or load_complex(*a))
     path = tmp_path / "hex.facets"
     path.write_text("".join(f"{i} {(i + 1) % 6}\n" for i in range(6)))
+    rc, out, _ = run(capsys, "info", str(path))
+    assert (rc, out.splitlines()[-1]) == (0, "flag: yes")
     assert run(capsys, "check", str(path), "ds", "formula")[0] == 1
     assert run(capsys, "batch", str(tmp_path), "ds")[0] == 0
+    assert len(loads) == 3
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import contextlib
 import io
 import itertools
 import random
+import sys
+import time
 from math import comb
 
 import pytest
@@ -546,6 +548,44 @@ def test_face_counts_leaves_are_the_closed_forms():
         assert f_vector(gen.face_counts(_S(name))) == f_vector(gen.build(_S(name)))
 
 
+def test_leaf_counts_are_the_binomials_for_every_small_n():
+    for n in range(1, 301):
+        sb = gen.face_counts(_S("simplex_boundary", (n,)))
+        assert sb.by_size == tuple(comb(n + 1, s) for s in range(n + 1))
+        cp = gen.face_counts(_S("cross_polytope_boundary", (n,)))
+        assert cp.by_size == tuple(2**s * comb(n, s) for s in range(n + 1))
+
+
+@given(spec=_spec_trees())
+@example(spec=_S("simplex_boundary", (1,)))
+@example(spec=_S("simplex_boundary", (4,)))
+@example(spec=_S("polygon", (3,)))
+@example(spec=_S("polygon", (4,)))
+@example(spec=_TORUS)
+@example(spec=_S("projective_plane6"))
+@example(spec=_S("cross_polytope_boundary", (3,)))
+@example(spec=_S("join", (), (_S("polygon", (4,)), _S("simplex_boundary", (2,)))))
+@example(spec=_S("disjoint_union", (), (_S("simplex_boundary", (3,)), _S("projective_plane6"))))
+@example(spec=_S("join", (), (_S("barycentric_subdivision", (), (_TORUS,)), _S("polygon", (3,)))))
+@example(spec=_S("join", (), (_S("polygon", (4,)), _S("simplex_boundary", (6,)))))
+@example(
+    spec=_S("join", (), (
+        _S("polygon", (4,)),
+        _S("disjoint_union", (), (_S("polygon", (4,)), _S("simplex_boundary", (2,)))),
+    ))
+)
+@example(spec=_S("suspension", (), (_S("disjoint_union", (), (_TORUS, _S("polygon", (3,)))),)))
+def test_face_counts_flag_witness_is_the_clique_walks(spec):
+    """The verdict, witness and witness labels the count rules give are
+    those of the clique walk on the built complex, rebuilt without its flag
+    mark so that the walk runs."""
+    spec, K = pruned(spec)
+    walked = SimplicialComplex.from_indexed_facets(K.facets, K.labels).is_flag()
+    counted = gen.face_counts(spec).is_flag()
+    assert (counted.holds, counted.witness) == (walked.holds, walked.witness)
+    assert counted.values == walked.values
+
+
 def cli_outcome(argv):
     """(exit code, stdout, stderr) of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -556,20 +596,37 @@ def cli_outcome(argv):
 
 @given(
     spec=_spec_trees(),
-    names=st.lists(st.sampled_from(("ds", "formula", "proof")), min_size=1, unique=True),
+    names=st.lists(st.sampled_from(("ds", "formula", "proof", "flag")), min_size=1, unique=True),
     as_json=st.booleans(),
 )
-@example(spec=_MIXED, names=["ds", "formula", "proof"], as_json=True)
+@example(spec=_MIXED, names=["ds", "formula", "proof", "flag"], as_json=True)
 @example(spec=_S("barycentric_subdivision", (), (_MIXED,)), names=["proof"], as_json=False)
+@example(spec=_S("join", (), (_S("polygon", (4,)), _S("simplex_boundary", (6,)))), names=["flag"],
+         as_json=False)
 def test_counts_report_equals_the_report_of_the_built_complex(spec, names, as_json):
-    """check --gen with only counts-reading checks prints, byte for byte, what
-    the same command prints when it is handed the built complex instead."""
+    """info --gen, and check --gen with only counts-reading checks, print,
+    byte for byte, what the same command prints when it is handed the built
+    complex instead."""
     spec, _ = pruned(spec)
-    argv = ["check", "--gen", spec.to_expr(), *names] + ["--json"] * as_json
-    from_counts = cli_outcome(argv)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "face_counts", gen.build)
-        assert cli_outcome(argv) == from_counts
+    for argv in (["check", "--gen", spec.to_expr(), *names], ["info", "--gen", spec.to_expr()]):
+        argv += ["--json"] * as_json
+        from_counts = cli_outcome(argv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "face_counts", gen.build)
+            assert cli_outcome(argv) == from_counts
+
+
+@pytest.mark.parametrize("argv", [["check", "--gen", "simplex_boundary:14500", "ds"],
+                                  ["info", "--gen", "simplex_boundary:14500"]])
+def test_a_huge_leaf_fails_on_its_digits_within_seconds(argv):
+    """The leaf's binomials are running products, so the counts of a leaf too
+    large to report come in well under a second, and the report fails on
+    its first number too long to print."""
+    start = time.monotonic()
+    outcome = cli_outcome(argv)
+    assert time.monotonic() - start < 5.0
+    digits = sys.get_int_max_str_digits()
+    assert outcome == (2, "", f"error: a reported number has more than {digits} digits\n")
 
 
 _MALFORMED = {
