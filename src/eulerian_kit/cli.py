@@ -344,8 +344,9 @@ def cmd_info(args) -> int:
     args.path = args.operands[0] if args.operands else None
     if len(args.operands or []) > 1:
         raise InputError("info takes a single facet file")
-    K, prov = _load_input(args, counts={"flag"} <= COUNTS_ONLY)
-    doc, _ = build_document(K, prov, include={"flag"})
+    include = {"flag"}
+    K, prov = _load_input(args, counts=include <= COUNTS_ONLY)
+    doc, _ = build_document(K, prov, include)
     _emit(doc, args.json)
     return 0
 
