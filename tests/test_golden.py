@@ -110,6 +110,13 @@ CASES = {
     "suspension_polygon5_proof.json": (
         0, ["check", "--gen", "suspension(polygon:5)", "proof", "--json"]
     ),
+    "disjoint_union_simplex_boundary3_projective_plane6_flag_eulerian.txt": (
+        1, ["check", "--gen", "disjoint_union(simplex_boundary:3, projective_plane6)",
+            "flag", "eulerian"]
+    ),
+    "join_polygon4_simplex_boundary2_all_flag.json": (
+        1, ["check", "--gen", "join(polygon:4, simplex_boundary:2)", "--all", "flag", "--json"]
+    ),
 }
 COLOR_CASE = "suspension_torus7_color.txt"
 # the terminal width --help is laid out for
