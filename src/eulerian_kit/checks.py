@@ -51,7 +51,6 @@ from .invariants import (
     euler_characteristic,
     f_poly_eval,
     f_vector,
-    h_poly_eval,
     h_vector,
 )
 from .reports import CheckReport, DSResidualRow
@@ -224,7 +223,8 @@ def proof_trace(K: SimplicialComplex) -> CheckReport:
     d = K.dim + 1
     h = h_vector(K)
     chi = euler_characteristic(K)
-    a = h_poly_eval(K, -1)
+    # A = h(-1): h_i is the coefficient of t^(d-i), and d is odd
+    a = sum(h[1::2]) - sum(h[::2])
     b = 2 ** (2 * m) * (chi - 2)
     c = f_poly_eval(K, -2)
     p = sum((-1) ** i * (h[d - i] - h[i]) for i in range(m + 1))

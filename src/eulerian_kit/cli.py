@@ -3,13 +3,13 @@
 Subcommands: info (invariants only), check (theorem audits), gen (write a
 generator's facet file), batch (check every facet file in a directory).
 Exit codes: 0 all selected checks hold, 1 a check failed, 2 input error.
-The ds, formula and proof checks read only the dimension and the f-vector
-(and the report header reads purity), and the flag check of a generator
-expression only its flag witness, so `info --gen EXPR`, and `check --gen
-EXPR` that selects only those, take the face counts and flag witness of
-EXPR in closed form (`generators.face_counts`) and build no face; any other
-selection, gen, batch and every facet file build the complex.  Generator
-expressions are parsed by `generators.parse_generator_expr`.
+An input is read as two objects: its counts, which answer the report header
+and every check that reads only the dimension, the f-vector and the flag
+witness, and its complex, for the checks that read faces.  A generator
+expression's counts come in closed form (`generators.face_counts`), and it
+is built only when a selected check reads faces; a facet file's complex
+serves as both.  `build_document` hands each check the object it reads.
+Generator expressions are parsed by `generators.parse_generator_expr`.
 Every number in a JSON report is a decimal string or a reduced "p/q"
 rational; nothing is ever emitted as floating point.
 """
@@ -165,12 +165,12 @@ def _proof_text(sec, color):
 # One row per check, in report order: selection name, document key,
 # run(K, exhaustive) -> (holds, section), when it gates: "always", "even" (in
 # even dimension) or "named" (only when named; it is then informational and
-# runs only when named), what it reads: "faces" or only "counts", the queries
-# of generators.FaceCounts, and text(section, color) -> the lines of its
-# section in the text report.  A check's precondition is its library
-# function's PreconditionError, whose message is the reason it is skipped.
-# Runners look their check up in this module when they run, so a wrapper
-# installed later still runs.
+# runs only when named), what it reads: "faces", or only "counts", the queries
+# of generators.FaceCounts (build_document hands run the object it names),
+# and text(section, color) -> the lines of its section in the text report.
+# A check's precondition is its library function's PreconditionError, whose
+# message is the reason it is skipped.  Runners look their check up in this
+# module when they run, so a wrapper installed later still runs.
 Check = namedtuple("Check", "name key run gates reads text")
 CHECKS = (
     Check("flag", "is_flag", lambda K, _: _section(K, K.is_flag(), "holds", "witness"),
@@ -187,43 +187,51 @@ CHECKS = (
 THEOREM_CHECKS = tuple(c.name for c in CHECKS if c.gates != "named")
 CHECK_NAMES = THEOREM_CHECKS + tuple(c.name for c in CHECKS if c.gates == "named")
 CHOICES = CHECK_NAMES + ("all",)
-COUNTS_ONLY = frozenset(c.name for c in CHECKS if c.reads == "counts")
 
 
-def build_document(K, provenance, include, exhaustive=False, strict=()):
+def build_document(counts, faces, provenance, include, exhaustive=False, strict=()):
     """Assemble a ReportDocument dict and the verdict of each check that ran.
 
-    K is a SimplicialComplex, or a generators.FaceCounts when every row in
-    include reads only counts.
+    counts (a generators.FaceCounts or a SimplicialComplex) answers the
+    header and every row that reads "counts"; faces() gives the complex
+    for the rows that read "faces", and is called only when one of them is
+    in include.
 
     The rows of CHECKS named in include run in table order.  A verdict is
     True or False, or None where the row does not gate.  A check whose
     runner raises PreconditionError is recorded under "skipped" with its
     reason, or raises InputError when named in strict; checks named in
-    strict always gate.  The dimension and f-vector are encoded before the
-    h-vector is computed, so one too long to print fails first.
+    strict always gate.  An f-vector too long to print fails before
+    anything else is computed, encoded or built.
     """
+    fv = f_vector(counts)
+    # the largest entry first: one too long fails before str(), quadratic in
+    # the digits, runs on the others
+    _decimal(max(fv, default=0))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "input": provenance,
-        **_exact(K, {"dim": K.dim, "f_vector": f_vector(K)}),
-        **_exact(K, {
-            "h_vector": h_vector(K),
-            "chi": euler_characteristic(K),
-            "is_pure": K.is_pure(),
+        **_exact(counts, {
+            "dim": counts.dim,
+            "f_vector": fv,
+            "h_vector": h_vector(counts),
+            "chi": euler_characteristic(counts),
+            "is_pure": counts.is_pure(),
         }),
     }
+    rows = [c for c in CHECKS if c.name in include]
+    K = faces() if any(c.reads == "faces" for c in rows) else None
     verdicts = {}
     skipped = {}
-    for check in (c for c in CHECKS if c.name in include):
+    for check in rows:
         try:
-            holds, doc[check.key] = check.run(K, exhaustive)
+            holds, doc[check.key] = check.run(K if check.reads == "faces" else counts, exhaustive)
         except PreconditionError as e:
             if check.name in strict:
                 raise InputError(f"check {check.name!r}: {e}") from None
             skipped[check.name] = str(e)
             continue
-        gates = check.gates == "always" or (check.gates == "even" and K.dim % 2 == 0)
+        gates = check.gates == "always" or (check.gates == "even" and counts.dim % 2 == 0)
         verdicts[check.name] = holds if gates or check.name in strict else None
     if skipped:
         doc["skipped"] = skipped
@@ -274,15 +282,16 @@ def _add_input_args(sub):
     )
 
 
-def _load_input(args, counts=False):
-    """(complex, provenance) of the input; with counts, a generator
-    expression gives its FaceCounts instead of the complex."""
+def _load_input(args):
+    """(counts, faces, provenance) of the input, as build_document takes
+    them: a generator expression's FaceCounts and a function that builds
+    it, or a facet file's complex as both."""
     if args.gen and args.path:
         raise InputError("give either a facet file or --gen, not both")
     if args.gen:
         spec = parse_generator_expr(args.gen)
-        K = face_counts(spec) if counts else build(spec)
-        return K, {"kind": "generator", "expr": spec.to_expr()}
+        prov = {"kind": "generator", "expr": spec.to_expr()}
+        return face_counts(spec), lambda: build(spec), prov
     if not args.path:
         raise InputError("no input: give a facet file or --gen EXPR")
     return _load_file(args.path, args.format)
@@ -290,7 +299,8 @@ def _load_input(args, counts=False):
 
 def _load_file(path, fmt=None):
     fmt = fmt or detect_format(path)
-    return load_complex(path, fmt), {"kind": "file", "path": display_path(path), "format": fmt}
+    K = load_complex(path, fmt)
+    return K, lambda: K, {"kind": "file", "path": display_path(path), "format": fmt}
 
 
 def _split_operands(args):
@@ -326,14 +336,15 @@ def _selection(args):
 
 def _auditor(args):
     """Validate the check selection in args; return a function that audits one
-    complex with it: (K, provenance) -> (doc with "checks_passed", verdicts)."""
+    input with it: (counts, faces, provenance) -> (doc with "checks_passed",
+    verdicts)."""
     unknown = set(args.which or []) - set(CHOICES)
     if unknown:
         raise InputError(f"unknown check {sorted(unknown)[0]!r}; choose from {', '.join(CHOICES)}")
     selected, named = _selection(args)
 
-    def audit(K, provenance):
-        doc, verdicts = build_document(K, provenance, selected, args.exhaustive, named)
+    def audit(counts, faces, provenance):
+        doc, verdicts = build_document(counts, faces, provenance, selected, args.exhaustive, named)
         doc["checks_passed"] = False not in verdicts.values()
         return doc, verdicts
 
@@ -344,20 +355,15 @@ def cmd_info(args) -> int:
     args.path = args.operands[0] if args.operands else None
     if len(args.operands or []) > 1:
         raise InputError("info takes a single facet file")
-    include = {"flag"}
-    K, prov = _load_input(args, counts=include <= COUNTS_ONLY)
-    doc, _ = build_document(K, prov, include)
+    doc, _ = build_document(*_load_input(args), {"flag"})
     _emit(doc, args.json)
     return 0
 
 
 def cmd_check(args) -> int:
     _split_operands(args)
-    # checks are validated after the input is read, as on every path; an
-    # unknown name is not in COUNTS_ONLY, so it leaves this path to build
-    selected, _ = _selection(args)
-    K, prov = _load_input(args, counts=selected <= COUNTS_ONLY)
-    doc, _ = _auditor(args)(K, prov)
+    loaded = _load_input(args)  # an input error comes before an unknown check's
+    doc, _ = _auditor(args)(*loaded)
     _emit(doc, args.json)
     return 0 if doc["checks_passed"] else 1
 

@@ -45,21 +45,21 @@ class SimplicialComplex:
     labels) or :meth:`from_indexed_facets` (pre-assigned dense ids).  Both
     compute the downward closure, absorb dominated input faces, and record
     the maximal faces.  The generators that know every face of what they
-    build skip the closure and hand their levels to :meth:`_from_levels`;
-    those whose output is flag by construction say so there, and
-    :meth:`is_flag` then needs no walk.  The vertex labels are one tuple,
-    :attr:`labels`, indexed by vertex id.  All query methods are read-only.
+    build skip the closure and hand their levels to :meth:`_from_levels`.
+    The vertex labels are one tuple, :attr:`labels`, indexed by vertex id.
+    All query methods are read-only, and each counts or walks the stored
+    faces; the closed forms of a generator expression are
+    ``generators.face_counts``.
     """
 
-    __slots__ = ("_by_dim", "_facets", "_labels", "_dim", "_flag")
+    __slots__ = ("_by_dim", "_facets", "_labels", "_dim")
 
-    def __init__(self, by_dim, facets, labels, flag=False):
+    def __init__(self, by_dim, facets, labels):
         # Internal: use the from_* classmethods.
         self._by_dim: dict[int, frozenset[Face]] = by_dim
         self._facets: tuple[Face, ...] = facets
         self._labels: tuple[str, ...] = labels
         self._dim: int = max(by_dim) if by_dim else -1
-        self._flag: bool = flag
 
     @classmethod
     def from_facets(cls, facets: Iterable[Sequence[str]]) -> SimplicialComplex:
@@ -142,23 +142,18 @@ class SimplicialComplex:
         by_dim: dict[int, Iterable[Face]],
         facets: Iterable[Face],
         labels: Sequence[str],
-        flag: bool = False,
     ) -> SimplicialComplex:
         """Internal: build from faces already closed downward.
 
         ``by_dim`` maps each dimension 0..d to every face of that dimension
         and ``facets`` holds the maximal faces, in any order; nothing is
         checked.  The generators that know their faces call this directly,
-        so each face is made once instead of once per face above it.  A
-        caller that knows every clique of the 1-skeleton is a face passes
-        ``flag=True``, and :meth:`is_flag` then holds without a walk; the
-        mark is not checked either.
+        so each face is made once instead of once per face above it.
         """
         return cls(
             {k: frozenset(level) for k, level in by_dim.items()},
             tuple(sorted(sorted(facets), key=len)),
             tuple(labels),
-            flag,
         )
 
     # -- elementary queries -------------------------------------------------
@@ -274,15 +269,7 @@ class SimplicialComplex:
         is a minimal non-face clique, returned as the witness.  The top
         level ends the test: a clique that extends a top-dimensional face is
         never a face.
-
-        A complex built with the flag mark (see :meth:`_from_levels`) holds
-        at once, with no walk: the barycentric subdivision, whose cliques
-        are chains of faces, and the cross-polytope boundary, whose only
-        minimal non-faces are antipodal edges.  Every other complex is
-        walked.
         """
-        if self._flag:
-            return CheckReport(holds=True)
         # Each edge (a, b) has a < b, so up[a] holds only the neighbours above a.
         up: list[set[int]] = [set() for _ in self._labels]
         for a, b in self.faces_of_dim(1):

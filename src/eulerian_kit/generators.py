@@ -12,8 +12,9 @@ back.  A tree can be evaluated two ways: `build` makes the complex, and
 `face_counts` gives only its face counts, purity and flag witness, in
 closed form, without making a face.  The checks that read no more than the
 dimension and the f-vector (Dehn-Sommerville, the main formula and the
-proof trace), and the flag test, run on either; `eulerian-kit info --gen`
-takes the counts, and `check --gen` does when it runs only those.
+proof trace), and the flag test, run on either; for a `--gen` input the
+command line reads them from the counts, and builds only for a check that
+reads faces.
 Each generator is one `REGISTRY` row: its builder, its count rule and its
 arity.  Both evaluations walk the tree through `_apply`, and each leaf checks
 its parameter with `_at_least`, so a malformed expression raises the same
@@ -26,7 +27,6 @@ import itertools
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from math import comb
 from operator import add, attrgetter
 
 from .complexes import Face, SimplicialComplex
@@ -55,9 +55,6 @@ def cross_polytope_boundary(n: int) -> SimplicialComplex:
     antipodal pair, so the facets pick one sign per axis.  The faces are
     built axis by axis: every face so far, extended by neither pole of the
     next axis or by one of them.
-
-    The result is marked flag: its only minimal non-faces are the antipodal
-    edges, so a clique, which contains no antipodal pair, is a face.
     """
     _at_least(1, "cross_polytope_boundary", n)
     labels = []
@@ -72,7 +69,7 @@ def cross_polytope_boundary(n: int) -> SimplicialComplex:
             by_size[s] += map(add, by_size[s - 1], itertools.repeat((pole,)))
             by_size[s] += map(add, by_size[s - 1], itertools.repeat((pole + 1,)))
     levels = {k: by_size[k + 1] for k in range(n)}
-    return SimplicialComplex._from_levels(levels, by_size[n], labels, flag=True)
+    return SimplicialComplex._from_levels(levels, by_size[n], labels)
 
 
 def polygon(n: int) -> SimplicialComplex:
@@ -192,11 +189,8 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     face: those of length s ending at a face are the chains of length s - 1
     ending at its proper sub-faces, each extended by the face.  A chain is
     maximal when it ends at a facet and is as long as the facet.  Only the
-    chains of two lengths are held in lists at a time.
-
-    The result is marked flag: vertices are adjacent exactly when their
-    faces are comparable, so a clique is a set of pairwise comparable
-    faces, which is a chain.  (The empty complex comes back unchanged.)
+    chains of two lengths are held in lists at a time.  (The empty complex
+    comes back unchanged.)
     """
     if K.is_empty():
         return K
@@ -220,7 +214,7 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
         levels[size - 1] = frozenset(itertools.chain.from_iterable(ends.values()))
         facets += itertools.chain.from_iterable(ends[f] for f in K.facets if len(f) == size)
     del ends
-    return SimplicialComplex._from_levels(levels, facets, labels, flag=True)
+    return SimplicialComplex._from_levels(levels, facets, labels)
 
 
 # -- face counts in closed form ----------------------------------------------
@@ -240,6 +234,8 @@ class FaceCounts:
     primes for lo <= n < hi.  It answers the queries of SimplicialComplex
     that the f-vector and the checks built on it read: dim, f_count,
     is_empty, is_pure, is_flag, and labels_of for the witness's vertices.
+    So face_counts(spec).is_flag() is build(spec).is_flag() in closed form,
+    where the built complex walks its cliques.
     """
 
     by_size: tuple[int, ...]
@@ -292,7 +288,8 @@ def _simplex_boundary_counts(n: int) -> FaceCounts:
 
 
 def _cross_polytope_counts(n: int) -> FaceCounts:
-    # a face picks s of the n axes and one pole of each: 2^s C(n, s)
+    # a face picks s of the n axes and one pole of each: 2^s C(n, s); the
+    # only minimal non-faces are the antipodal edges, so every clique is a face
     _at_least(1, "cross_polytope_boundary", n)
     by_size = itertools.accumulate(range(n), lambda c, s: c * 2 * (n - s) // (s + 1), initial=1)
     return FaceCounts(tuple(by_size))
@@ -346,20 +343,21 @@ def _disjoint_union_counts(A: FaceCounts, B: FaceCounts) -> FaceCounts:
     return _merged(A, B, by_size, A.pure and B.pure and A.dim == B.dim)
 
 
-def _onto(i: int, j: int) -> int:
-    """Surjections of an i-set onto a j-set, j! S(i, j), by inclusion-exclusion."""
-    return sum((-1) ** k * comb(j, k) * (j - k) ** i for k in range(j + 1))
-
-
 def _subdivision_counts(K: FaceCounts) -> FaceCounts:
     """A face of sd K with j vertices is a chain of j faces; the chains
     topped by one face with i vertices are the ordered partitions of it into
-    j blocks, j! S(i, j) of them.  Its facets are the maximal chains, each
-    as long as its top facet, so purity carries over.  (j = 0 gives the
-    empty face alone: _onto(i, 0) is 1 for i = 0 and 0 otherwise.)  It is
-    flag, and its labels b{...} are not digit-shaped."""
-    sizes = range(len(K.by_size))
-    by_size = (sum(c * _onto(i, j) for i, c in enumerate(K.by_size)) for j in sizes)
+    j blocks, t(i, j) = j! S(i, j) of them.  A partition's last block is new
+    or joins the rest, so t(i, j) = j (t(i-1, j-1) + t(i-1, j)), from
+    t(0, 0) = 1: the empty face alone.  Its facets are the maximal chains,
+    each as long as its top facet, so purity carries over.  It is flag,
+    since vertices are adjacent exactly when their faces are comparable, so
+    a clique is a chain; and its labels b{...} are not digit-shaped."""
+    by_size = [0] * len(K.by_size)
+    row = [1]  # t(i, 0..i)
+    for c in K.by_size:
+        for j, t in enumerate(row):
+            by_size[j] += c * t
+        row = [j * (a + b) for j, (a, b) in enumerate(zip([0, *row], [*row, 0]))]
     return FaceCounts(tuple(by_size), K.pure)
 
 
@@ -500,7 +498,7 @@ def build(spec: GeneratorSpec) -> SimplicialComplex:
 
 
 def face_counts(spec: GeneratorSpec) -> FaceCounts:
-    """The face counts and purity of build(spec), in closed form: no face is
-    made, so this costs a few polynomial products per node, whatever the
-    size of the complex."""
+    """The face counts, purity and flag witness of build(spec), in closed
+    form: no face is made, so this costs a few polynomial products per
+    node, whatever the size of the complex."""
     return _apply(spec, attrgetter("counts"), face_counts)

@@ -15,6 +15,7 @@ from eulerian_kit import (
     check_main_formula,
     ds_residuals,
     euler_characteristic,
+    h_poly_eval,
     h_vector,
     is_eulerian,
     proof_trace,
@@ -426,6 +427,21 @@ def test_substitution_identities_hold_for_random_even_dimensional_complexes():
         assert rep.values["a_equals_c"]
         assert rep.values["a_equals_p"]
         count += 1
+
+
+@given(
+    f=st.integers(0, 6).flatmap(
+        lambda m: st.lists(st.integers(0, 10**30), min_size=2 * m + 1, max_size=2 * m + 1)
+    )
+)
+@example(f=[3, 3, 1])
+@example(f=[7, 21, 14])
+def test_proof_trace_a_is_the_h_polynomial_at_minus_one(f):
+    """proof_trace reads A = h(-1) off the h-vector it already has; it is
+    the value of the h-polynomial at -1, sign and all, for any even-dimensional
+    f-vector."""
+    K = gen.FaceCounts((1, *f))
+    assert proof_trace(K).values["A"] == h_poly_eval(K, -1)
 
 
 # -- random operator trees over Eulerian leaves -------------------------------------

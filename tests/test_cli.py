@@ -278,12 +278,12 @@ def test_check_unknown_check_name(capsys):
 def test_build_document_verdicts_mark_informational_results_none():
     hexagon = build(parse_generator_expr("polygon:6"))
     prov = {"kind": "generator", "expr": "polygon:6"}
-    _, verdicts = build_document(hexagon, prov, include={"flag"})
+    _, verdicts = build_document(hexagon, lambda: hexagon, prov, include={"flag"})
     assert verdicts == {"flag": None}
-    _, verdicts = build_document(hexagon, prov, include={"flag", "formula", "ds"})
+    _, verdicts = build_document(hexagon, lambda: hexagon, prov, include={"flag", "formula", "ds"})
     assert verdicts == {"flag": None, "ds": True, "formula": None}
     _, verdicts = build_document(
-        hexagon, prov, include={"flag", "formula"}, strict={"flag", "formula"}
+        hexagon, lambda: hexagon, prov, include={"flag", "formula"}, strict={"flag", "formula"}
     )
     assert verdicts == {"flag": True, "formula": False}
 
@@ -318,7 +318,9 @@ def test_check_table_matches_report_schema():
     assert {check.gates for check in cli.CHECKS} <= {"always", "even", "named"}
     assert {check.reads for check in cli.CHECKS} <= {"faces", "counts"}
     assert all(callable(check.text) for check in cli.CHECKS)
-    assert cli.COUNTS_ONLY == {"ds", "formula", "proof", "flag"}
+    assert {check.name for check in cli.CHECKS if check.reads == "counts"} == {
+        "ds", "formula", "proof", "flag"
+    }
 
 
 def test_a_check_needs_only_its_row(monkeypatch):
@@ -333,7 +335,7 @@ def test_a_check_needs_only_its_row(monkeypatch):
     monkeypatch.setattr(cli, "CHECKS", cli.CHECKS + (stub,))
     hexagon = build(parse_generator_expr("polygon:6"))
     prov = {"kind": "generator", "expr": "polygon:6"}
-    doc, verdicts = build_document(hexagon, prov, include={"ds", "proof", "stub"})
+    doc, verdicts = build_document(hexagon, lambda: hexagon, prov, include={"ds", "proof", "stub"})
     assert doc["stub_section"] == {"facets": "6"}
     assert verdicts == {"ds": True, "stub": None}
     doc["checks_passed"] = True
@@ -353,12 +355,18 @@ def test_a_check_needs_only_its_row(monkeypatch):
 def test_counts_rows_run_on_face_counts(expr, check):
     """A row marked counts-only runs on a FaceCounts, which has no faces, and
     gives the section and verdict, or the skip reason, it gives on the built
-    complex; a row that reads faces but is marked counts-only fails here."""
+    complex; a row that reads faces but is marked counts-only fails here.
+    build_document asks for no complex to run it."""
     spec = parse_generator_expr(expr)
     prov = {"kind": "generator", "expr": expr}
     counts, K = face_counts(spec), build(spec)
     assert run_or_reason(check, counts) == run_or_reason(check, K)
-    assert build_document(counts, prov, {check.name}) == build_document(K, prov, {check.name})
+    unbuilt = build_document(counts, unreachable, prov, {check.name})
+    assert unbuilt == build_document(K, lambda: K, prov, {check.name})
+
+
+def unreachable():
+    raise AssertionError("built the complex")
 
 
 def run_or_reason(check, K):
@@ -392,10 +400,10 @@ def test_a_precondition_is_stated_once_by_the_library(facets, name, reason, as_c
         library(K)
     assert isinstance(caught.value, InputError)
     prov = {"kind": "generator", "expr": "x"}
-    doc, verdicts = build_document(K, prov, {name})
+    doc, verdicts = build_document(K, unreachable, prov, {name})
     assert (doc["skipped"], verdicts) == ({name: reason}, {})
     with pytest.raises(InputError, match=f"^check '{name}': {reason}$"):
-        build_document(K, prov, {name}, strict={name})
+        build_document(K, unreachable, prov, {name}, strict={name})
 
 
 def test_a_runner_input_error_is_not_a_skip(monkeypatch, capsys):
@@ -410,7 +418,9 @@ def test_a_runner_input_error_is_not_a_skip(monkeypatch, capsys):
     monkeypatch.setattr(cli, "CHOICES", cli.CHOICES + ("stub",))
     hexagon = build(parse_generator_expr("polygon:6"))
     with pytest.raises(InputError, match="^runner failed$") as caught:
-        build_document(hexagon, {"kind": "generator", "expr": "polygon:6"}, {"ds", "stub"})
+        build_document(
+            hexagon, lambda: hexagon, {"kind": "generator", "expr": "polygon:6"}, {"ds", "stub"}
+        )
     assert not isinstance(caught.value, PreconditionError)
     rc, out, err = run(capsys, "check", "--gen", "polygon:6", "ds", "stub")
     assert (rc, out, err) == (2, "", "error: runner failed\n")
@@ -431,14 +441,38 @@ def test_a_runner_input_error_is_not_a_skip(monkeypatch, capsys):
         (["eulerian"], 1),
         (["ds", "flag"], 0),
         (["formula", "eulerian"], 1),
+        (["flag", "eulerian"], 1),
     ],
 )
 def test_check_builds_only_when_a_selected_check_reads_faces(monkeypatch, capsys, which, builds):
+    """A --gen input is built once when a selected check reads faces, and
+    never otherwise; the flag check reads the count rules, so no clique walk
+    runs on the built complex."""
+
+    def walks(self):
+        raise AssertionError("walked the cliques of a generator expression")
+
     calls = []
     monkeypatch.setattr(cli, "build", lambda spec: calls.append(spec) or build(spec))
+    monkeypatch.setattr(SimplicialComplex, "is_flag", walks)
     rc, _, _ = run(capsys, "check", "--gen", "suspension(polygon:5)", *which)
     assert rc == 0
     assert len(calls) == builds
+
+
+def test_an_unknown_check_name_builds_nothing(monkeypatch, capsys):
+    """An unknown name is refused after the counts are read and before
+    anything is built, even for an expression with 2^41 faces."""
+
+    def fails(spec):
+        raise AssertionError(f"built {spec.to_expr()}")
+
+    monkeypatch.setattr(cli, "build", fails)
+    rc, out, err = run(capsys, "check", "--gen", "simplex_boundary:40", "bogus")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: unknown check 'bogus'")
+    rc, _, err = run(capsys, "check", "--gen", "simplex_boundary:0", "bogus")
+    assert (rc, err) == (2, "error: simplex_boundary needs n >= 1, got 0\n")
 
 
 def test_info_gen_builds_nothing_and_files_build(monkeypatch, capsys, tmp_path):
