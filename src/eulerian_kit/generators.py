@@ -346,12 +346,13 @@ def _disjoint_union_counts(A: FaceCounts, B: FaceCounts) -> FaceCounts:
 def _subdivision_counts(K: FaceCounts) -> FaceCounts:
     """A face of sd K with j vertices is a chain of j faces; the chains
     topped by one face with i vertices are the ordered partitions of it into
-    j blocks, t(i, j) = j! S(i, j) of them.  A partition's last block is new
-    or joins the rest, so t(i, j) = j (t(i-1, j-1) + t(i-1, j)), from
-    t(0, 0) = 1: the empty face alone.  Its facets are the maximal chains,
-    each as long as its top facet, so purity carries over.  It is flag,
-    since vertices are adjacent exactly when their faces are comparable, so
-    a clique is a chain; and its labels b{...} are not digit-shaped."""
+    j blocks, t(i, j) = j! S(i, j) of them.  One vertex is a block of its
+    own, in one of j places, or joins one of the j blocks of the others, so
+    t(i, j) = j (t(i-1, j-1) + t(i-1, j)), from t(0, 0) = 1 for the empty
+    face alone.  Its facets are the maximal chains, each as long as its top
+    facet, so purity carries over.  It is flag, since vertices are adjacent
+    exactly when their faces are comparable, so a clique is a chain; and
+    its labels b{...} are not digit-shaped."""
     by_size = [0] * len(K.by_size)
     row = [1]  # t(i, 0..i)
     for c in K.by_size:
