@@ -42,8 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations, repeat
-from math import comb
+from itertools import accumulate, chain, combinations, repeat
 
 from .complexes import Face, SimplicialComplex
 from .errors import InputError, PreconditionError
@@ -157,9 +156,11 @@ def ds_residuals(K: SimplicialComplex) -> tuple[list[DSResidualRow], CheckReport
     d = K.dim + 1
     chi = euler_characteristic(K)
     deviation = chi - sphere_chi(d - 1)
+    # C(d, i) from C(d, i - 1)
+    binomials = accumulate(range(d), lambda c, i: c * (d - i) // (i + 1), initial=1)
     rows = [
-        DSResidualRow(i=i, lhs=h[d - i] - h[i], rhs=(-1) ** i * comb(d, i) * deviation)
-        for i in range(d + 1)
+        DSResidualRow(i=i, lhs=h[d - i] - h[i], rhs=(-1) ** i * c * deviation)
+        for i, c in enumerate(binomials)
     ]
     failing = [r.i for r in rows if not r.holds]
     report = CheckReport(
@@ -185,9 +186,10 @@ def check_main_formula(K: SimplicialComplex) -> CheckReport:
     fv = f_vector(K)
     dim = K.dim
     chi = euler_characteristic(K)
-    rhs = sum(Fraction(-1, 2) ** i * n for i, n in enumerate(fv))
     scaled_lhs = 2**dim * chi
     scaled_rhs = sum((-1) ** i * 2 ** (dim - i) * n for i, n in enumerate(fv))
+    # scaled_rhs is 2^dim times the half-power sum
+    rhs = Fraction(scaled_rhs, 2**dim)
     holds = scaled_lhs == scaled_rhs
     return CheckReport(
         holds=holds,

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from operator import add, attrgetter
 
 from .complexes import Face, SimplicialComplex
@@ -220,8 +219,8 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
 # -- face counts in closed form ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FaceCounts:
+class FaceCounts(namedtuple("FaceCounts", "by_size pure witness digits",
+                            defaults=(True, None, ()))):
     """The face counts, purity and flag witness of a complex, without its faces.
 
     by_size[s] counts the faces with s vertices: by_size[0] = 1 is the empty
@@ -238,10 +237,7 @@ class FaceCounts:
     where the built complex walks its cliques.
     """
 
-    by_size: tuple[int, ...]
-    pure: bool = True
-    witness: Face | None = None
-    digits: tuple[tuple[int, int, int, int], ...] = ()
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -370,13 +366,10 @@ _TWO_POINTS = FaceCounts((1, 2))
 # -- generator expressions: name[:p][(arg, arg)] ------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(namedtuple("GeneratorSpec", "name params args", defaults=((), ()))):
     """A generator invocation: name, integer params, nested complex args."""
 
-    name: str
-    params: tuple[int, ...] = ()
-    args: tuple["GeneratorSpec", ...] = ()
+    __slots__ = ()
 
     def to_expr(self) -> str:
         expr = self.name
