@@ -22,7 +22,20 @@ from eulerian_kit.cli import main, render_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
-FILES = {"nonpure.facets": "a b c\nc d\nd e f g\n", "empty.facets": ""}
+# A cone with apex o over a pentagon whose labels JSON escapes; each of them is
+# in a failure of the Eulerian audit.
+# U+2028 is whitespace to str.isspace, which a label may not hold, so it is in
+# the file name.  The file sits in a subdirectory, which batch does not read.
+ESCAPES = ["\u00e9", '"', "\\", "\U0001f600", "\x1b[2J"]
+ESCAPES_FILE = "labels/escapes\u2028.json"
+FILES = {
+    "nonpure.facets": "a b c\nc d\nd e f g\n",
+    "empty.facets": "",
+    ESCAPES_FILE: json.dumps(
+        {"facets": [["o", ESCAPES[i - 1], ESCAPES[i]] for i in range(5)]},
+        ensure_ascii=False,
+    ),
+}
 
 # golden file name -> (expected exit code, argv[, pinned output]).  The file
 # pins stdout unless the case names "stderr" or a file the command writes;
@@ -117,6 +130,10 @@ CASES = {
     "join_polygon4_simplex_boundary2_all_flag.json": (
         1, ["check", "--gen", "join(polygon:4, simplex_boundary:2)", "--all", "flag", "--json"]
     ),
+    "escapes_all_exhaustive.json": (
+        1, ["check", ESCAPES_FILE, "--all", "--exhaustive", "--json"]
+    ),
+    "info_escapes.json": (0, ["info", ESCAPES_FILE, "--json"]),
 }
 COLOR_CASE = "suspension_torus7_color.txt"
 # the terminal width --help is laid out for
@@ -156,7 +173,9 @@ def colored_report():
 
 def write_fixtures(directory):
     for name, text in FILES.items():
-        (Path(directory) / name).write_text(text, encoding="utf-8")
+        path = Path(directory) / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text, encoding="utf-8")
 
 
 @pytest.fixture
