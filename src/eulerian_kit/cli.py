@@ -17,7 +17,6 @@ rational; nothing is ever emitted as floating point.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import namedtuple
@@ -26,7 +25,15 @@ from pathlib import Path
 
 from .checks import check_main_formula, ds_residuals, is_eulerian, proof_trace
 from .errors import InputError, PreconditionError
-from .facetio import FORMATS, detect_format, display_path, load_complex, write_facets
+from .facetio import (
+    FORMATS,
+    detect_format,
+    display_path,
+    escape_controls,
+    load_complex,
+    to_json,
+    write_facets,
+)
 from .generators import build, face_counts, parse_generator_expr
 from .invariants import euler_characteristic, f_vector, h_vector
 
@@ -47,18 +54,23 @@ def _decimal(n: int) -> str:
 def _exact(K, value):
     """value with each int as a decimal string, each Fraction as "p/q" and each
     face tuple as its labels; lists and dicts element by element, and bools,
-    None and strings as they are."""
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, int):
+    None and strings as they are.  Any other type raises TypeError."""
+    kind = type(value)
+    if kind is int:
         return _decimal(value)
-    if isinstance(value, Fraction):
-        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
-    if isinstance(value, tuple):
-        return list(K.labels_of(value))
-    if isinstance(value, list):
+    if kind is list:
+        if all(type(v) is int for v in value):  # an f- or h-vector
+            return list(map(_decimal, value))
         return [_exact(K, v) for v in value]
-    return {k: _exact(K, v) for k, v in value.items()}
+    if kind is dict:
+        return {k: _exact(K, v) for k, v in value.items()}
+    if kind is tuple:
+        return list(K.labels_of(value))
+    if kind is str or kind is bool or value is None:
+        return value
+    if kind is Fraction:
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+    raise TypeError(f"cannot report {kind.__name__} {value!r}")
 
 
 def _section(K, rep, *keys):
@@ -100,8 +112,10 @@ def _vec(values) -> str:
 
 
 def _wit(witness) -> str:
+    """A face as {a,b,c}, its labels' control characters escaped, or a
+    witness that is not a face as it is."""
     if isinstance(witness, list):
-        return "{" + ",".join(witness) + "}"
+        return "{" + escape_controls(",".join(witness)) + "}"
     return str(witness)
 
 
@@ -311,14 +325,9 @@ def _split_operands(args):
         args.path = None
 
 
-def _report_json(doc):
-    """The JSON text of a report document, as printed and as batch writes it."""
-    return json.dumps(doc, indent=2)
-
-
 def _emit(doc, as_json):
     if as_json:
-        print(_report_json(doc))
+        print(to_json(doc))
     else:
         print(render_text(doc, color=_use_color(sys.stdout)))
 
@@ -398,7 +407,7 @@ def cmd_batch(args) -> int:
             try:
                 outdir.mkdir(parents=True, exist_ok=True)
                 report_path = outdir / (path.name + ".report.json")
-                report_path.write_text(_report_json(doc) + "\n", encoding="utf-8")
+                report_path.write_text(to_json(doc) + "\n", encoding="utf-8")
             except OSError as e:
                 raise InputError(
                     f"{display_path(e.filename or outdir)}: {e.strerror or e}"

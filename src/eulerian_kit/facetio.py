@@ -3,7 +3,8 @@
 Plain format: one facet per line, whitespace-separated vertex tokens, `#`
 starts a comment, blank lines are ignored.  JSON format: an object with a
 "facets" key holding an array of arrays of string labels.  Parse failures
-carry file/line/column diagnostics.
+carry file/line/column diagnostics.  `to_json` writes every JSON document
+the package emits: JSON facet files here, and the CLI's reports.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .complexes import SimplicialComplex
@@ -22,12 +24,42 @@ _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")  # Unicode category Cc: C0, DEL an
 FORMATS = ("plain", "json")
 
 
+def escape_controls(text: str) -> str:
+    """text with each control character as \\xNN, such as \\x1b for ESC."""
+    return _CONTROL.sub(lambda m: f"\\x{ord(m.group()):02x}", text)
+
+
 def display_path(path) -> str:
     """A file path as printable text on one line: bytes of its name that are
     not valid UTF-8 appear as backslash escapes such as \\xff, and control
     characters as \\xNN, such as \\x0a for a newline."""
-    shown = os.fsencode(path).decode("utf-8", "backslashreplace")
-    return _CONTROL.sub(lambda m: f"\\x{ord(m.group()):02x}", shown)
+    return escape_controls(os.fsencode(path).decode("utf-8", "backslashreplace"))
+
+
+def to_json(value, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2) writes it, byte for byte.
+
+    value is made of dicts with string keys, lists, strings, bools, None and
+    ints; anything else, such as a float, a tuple or an int key, raises
+    TypeError.  indent is the line break and indentation of value's level."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is list or kind is dict:
+        if not value:
+            return "[]" if kind is list else "{}"
+        inner = indent + "  "
+        if kind is list:
+            items = [to_json(v, inner) for v in value]
+            return "[" + inner + ("," + inner).join(items) + indent + "]"
+        # the escaper refuses a key that is not a string
+        items = [encode_basestring_ascii(k) + ": " + to_json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    raise TypeError(f"cannot write {kind.__name__} {value!r} as JSON")
 
 
 def detect_format(path) -> str:
@@ -113,7 +145,7 @@ def write_facets(K: SimplicialComplex, path, fmt: str = "plain") -> None:
                     )
         text = "".join(" ".join(row) + "\n" for row in rows)
     elif fmt == "json":
-        text = json.dumps({"facets": rows}, indent=2) + "\n"
+        text = to_json({"facets": rows}) + "\n"
     else:
         raise InputError(f"unknown facet format {fmt!r}")
     try:

@@ -29,7 +29,7 @@ from eulerian_kit.cli import (
 from eulerian_kit.complexes import SimplicialComplex
 from eulerian_kit.checks import check_main_formula, ds_residuals, proof_trace
 from eulerian_kit.errors import InputError, PreconditionError
-from eulerian_kit.facetio import load_complex, write_facets
+from eulerian_kit.facetio import load_complex, to_json, write_facets
 from eulerian_kit.generators import MAX_NESTING, FaceCounts, build, face_counts
 from eulerian_kit.invariants import f_vector
 
@@ -580,6 +580,63 @@ def test_numeric_fields_are_exact_strings(capsys):
     walk(doc)
     text = json.dumps(doc)
     assert "NaN" not in text
+
+
+def test_exact_refuses_a_type_it_does_not_report():
+    for value in (1.5, {1, 2}, b"ab", [1, 2.0]):
+        with pytest.raises(TypeError):
+            cli._exact(None, value)
+
+
+# -- the JSON writer -----------------------------------------------------------------
+
+# characters that JSON escapes or that an ASCII-only writer must spell out
+JSON_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x08\x1b\x1f\x7f\x85\u00e9\u2028\u2029\ufeff\U0001f600')
+    | st.characters()
+)
+JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(JSON_DOCUMENTS)
+def test_the_writer_matches_json_dumps_with_indent_2(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.0, {"a": [0.5]}, (1, 2), [{"a", "b"}], {1: "a"}, {"a": {None: 1}}],
+    ids=["float", "nested float", "tuple", "set", "int key", "None key"],
+)
+def test_the_writer_refuses_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        to_json(value)
+
+
+# -- labels holding control characters --------------------------------------------
+
+
+def test_text_reports_show_control_characters_in_labels_escaped(tmp_path, capsys):
+    """A witness or failure label prints with \\xNN escapes, as a file name
+    does; the JSON report keeps the label itself."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"facets": [["\x1b[2J", "b"], ["b", "c"], ["c", "\x1b[2J"]]}))
+    rc, out, _ = run(capsys, "check", str(path), "flag")
+    assert (rc, out.splitlines()[6]) == (1, r"flag: no   non-face clique: {\x1b[2J,b,c}")
+    path.write_text(json.dumps({"facets": [["\x1b[2J", "b"], ["b", "\x9b"]]}))
+    rc, out, _ = run(capsys, "check", str(path), "eulerian", "--exhaustive")
+    assert rc == 1 and "\x1b" not in out and "\x9b" not in out
+    assert out.splitlines()[6:9] == [
+        r"eulerian: FAIL   witness: {\x1b[2J} (link chi 1, expected 2)",
+        r"    failure: {\x1b[2J} [bad_link] chi_link 1, expected 2",
+        r"    failure: {\x9b} [bad_link] chi_link 1, expected 2",
+    ]
+    rc, doc, _ = run_json(capsys, "check", str(path), "eulerian", "--json")
+    assert doc["is_eulerian"]["witness"] == ["\x1b[2J"]
 
 
 # -- gen --------------------------------------------------------------------------

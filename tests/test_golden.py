@@ -130,6 +130,7 @@ CASES = {
     "join_polygon4_simplex_boundary2_all_flag.json": (
         1, ["check", "--gen", "join(polygon:4, simplex_boundary:2)", "--all", "flag", "--json"]
     ),
+    "escapes_all_exhaustive.txt": (1, ["check", ESCAPES_FILE, "--all", "--exhaustive"]),
     "escapes_all_exhaustive.json": (
         1, ["check", ESCAPES_FILE, "--all", "--exhaustive", "--json"]
     ),

@@ -41,6 +41,27 @@ def test_package_imports_only_the_standard_library():
     assert outside == set()
 
 
+def _json_writes(tree: ast.Module):
+    """Calls of json.dumps or json.dump, and imports of either by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if func.attr in ("dumps", "dump") and getattr(func.value, "id", None) == "json":
+                yield f"json.{func.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            yield from (f"json.{a.name}" for a in node.names if a.name in ("dumps", "dump"))
+
+
+def test_every_json_document_comes_from_the_one_writer():
+    """No module writes JSON but through facetio.to_json."""
+    found = {
+        (path.name, call)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for call in _json_writes(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == set()
+
+
 # dataclasses imports these, and they took about 13 ms of each start of the CLI
 INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
