@@ -22,10 +22,10 @@ from eulerian_kit.cli import main, render_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# A cone with apex o over a pentagon whose labels JSON escapes; each of them is
-# in a failure of the Eulerian audit.
-# U+2028 is whitespace to str.isspace, which a label may not hold, so it is in
-# the file name.  The file sits in a subdirectory, which batch does not read.
+# A cone with apex o over a pentagon whose labels JSON escapes; each label is in
+# a failure of the Eulerian audit.  U+2028 is whitespace to str.isspace, which a
+# label may not hold, so it is in the file name.  The file sits in a
+# subdirectory, which batch does not read.
 ESCAPES = ["\u00e9", '"', "\\", "\U0001f600", "\x1b[2J"]
 ESCAPES_FILE = "labels/escapes\u2028.json"
 FILES = {
