@@ -178,10 +178,11 @@ def _proof_text(sec, color):
 
 # One row per check, in report order: selection name, document key,
 # run(K, exhaustive) -> (holds, section), when it gates: "always", "even" (in
-# even dimension) or "named" (only when named; it is then informational and
-# runs only when named), what it reads: "faces", or only "counts", the queries
-# of generators.FaceCounts (build_document hands run the object it names),
-# and text(section, color) -> the lines of its section in the text report.
+# even dimension) or "named" (it runs and gates only when named), what it
+# reads: "faces", or only "counts", the queries of generators.FaceCounts:
+# by_size, dim, is_empty, is_pure, is_flag and labels_of (build_document
+# hands run the object it names), and text(section, color) -> the lines of
+# its section in the text report.
 # A check's precondition is its library function's PreconditionError, whose
 # message is the reason it is skipped.  Runners look their check up in this
 # module when they run, so a wrapper installed later still runs.

@@ -178,9 +178,10 @@ class SimplicialComplex:
     def num_faces(self) -> int:
         return sum(len(b) for b in self._by_dim.values())
 
-    def f_count(self, i: int) -> int:
-        """Number of i-dimensional faces."""
-        return len(self._by_dim.get(i, ()))
+    @property
+    def by_size(self) -> tuple[int, ...]:
+        """(1, f_0, ..., f_d): face counts by size, the empty face first."""
+        return (1, *map(len, map(self._by_dim.__getitem__, range(self._dim + 1))))
 
     def faces_of_dim(self, i: int) -> frozenset[Face]:
         return self._by_dim.get(i, frozenset())
@@ -280,9 +281,9 @@ class SimplicialComplex:
 
         for k in range(1, self._dim + 1):
             level = self.faces_of_dim(k)
-            if sum(map(len, map(above, level))) == self.f_count(k + 1):
-                continue
             larger = self.faces_of_dim(k + 1)
+            if sum(map(len, map(above, level))) == len(larger):
+                continue
             for f in sorted(level):
                 for v in sorted(above(f)):
                     clique = f + (v,)

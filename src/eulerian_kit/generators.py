@@ -231,7 +231,7 @@ class FaceCounts(namedtuple("FaceCounts", "by_size pure witness digits",
     the only ones its labels can collide with: runs (lo, hi, offset, primes),
     in id order, giving vertex n + offset the label of n with that many
     primes for lo <= n < hi.  It answers the queries of SimplicialComplex
-    that the f-vector and the checks built on it read: dim, f_count,
+    that the f-vector and the checks built on it read: by_size, dim,
     is_empty, is_pure, is_flag, and labels_of for the witness's vertices.
     So face_counts(spec).is_flag() is build(spec).is_flag() in closed form,
     where the built complex walks its cliques.
@@ -242,10 +242,6 @@ class FaceCounts(namedtuple("FaceCounts", "by_size pure witness digits",
     @property
     def dim(self) -> int:
         return len(self.by_size) - 2
-
-    def f_count(self, i: int) -> int:
-        """Number of i-dimensional faces."""
-        return self.by_size[i + 1] if 0 <= i <= self.dim else 0
 
     def is_empty(self) -> bool:
         return self.dim == -1

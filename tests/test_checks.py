@@ -473,7 +473,7 @@ def _apply(op, *operands, max_faces=MAX_FACES):
     elif op == "barycentric_subdivision":
         (_, K), = operands
         assume(K.dim + 1 < len(FUBINI))
-        faces = sum(K.f_count(k - 1) * FUBINI[k] for k in range(1, K.dim + 2))
+        faces = sum(K.by_size[k] * FUBINI[k] for k in range(1, K.dim + 2))
     else:  # a face of a join pairs a face or the empty face of each side, not both empty;
         # the cone and the suspension join one and two points
         sides = sizes + {"cone": [1], "suspension": [2]}.get(op, [])

@@ -26,12 +26,14 @@ def test_tetrahedron_boundary_from_four_triangles():
     facets = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
     K = SimplicialComplex.from_facets(facets)
     assert f_vector(K) == oracles.f_counts(oracles.closure_of(facets)) == [4, 6, 4]
+    assert K.by_size == (1, *oracles.f_counts(oracles.closure_of(facets)))
 
 
 def test_empty_input_gives_empty_complex():
     K = SimplicialComplex.from_facets([])
     assert K.dim == -1
     assert f_vector(K) == []
+    assert K.by_size == (1,)
     assert K.facets == ()
     assert K.is_empty()
 

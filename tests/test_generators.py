@@ -493,6 +493,7 @@ def test_face_counts_match_the_built_complex(spec):
     spec, K = pruned(spec)
     counts = gen.face_counts(spec)
     assert counts.dim == K.dim
+    assert counts.by_size == K.by_size
     assert f_vector(counts) == f_vector(K)
     assert counts.is_pure() == K.is_pure()
     assert counts.is_empty() is False
