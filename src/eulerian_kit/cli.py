@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -394,29 +394,30 @@ def cmd_batch(args) -> int:
     dirpath = Path(args.dir)
     if not dirpath.is_dir():
         raise InputError(f"{display_path(args.dir)}: not a directory")
-    files = sorted(
-        p for p in dirpath.iterdir() if p.is_file() and p.suffix in (".facets", ".txt", ".json")
-    )
+    suffixes = (".facets", ".txt", ".json")
+    try:
+        files = sorted(p for p in dirpath.iterdir() if p.is_file() and p.suffix in suffixes)
+    except OSError as e:
+        raise InputError(f"{display_path(args.dir)}: {e.strerror or e}") from None
     outdir = Path(args.out) if args.out else dirpath / "reports"
     audit = _auditor(args)
 
     rows = []
     for path in files:
         shown = display_path(path.name)
+        report = outdir / (path.name + ".report.json")
         try:
             doc, verdicts = audit(*_load_file(path))
-            try:
-                outdir.mkdir(parents=True, exist_ok=True)
-                report_path = outdir / (path.name + ".report.json")
-                report_path.write_text(to_json(doc) + "\n", encoding="utf-8")
-            except OSError as e:
-                raise InputError(
-                    f"{display_path(e.filename or outdir)}: {e.strerror or e}"
-                ) from None
-            failed = sorted(name for name, ok in verdicts.items() if ok is False)
-            rows.append((shown, "FAIL" if failed else "pass", ",".join(failed)))
+            outdir.mkdir(parents=True, exist_ok=True)
+            report.write_text(to_json(doc) + "\n", encoding="utf-8")
         except InputError as e:
             rows.append((shown, "error", str(e)))
+        except OSError as e:  # from the report's write: reading raises only InputError
+            where = display_path(e.filename or outdir)
+            rows.append((shown, "error", f"{where}: {e.strerror or e}"))
+        else:
+            failed = sorted(name for name, ok in verdicts.items() if ok is False)
+            rows.append((shown, "FAIL" if failed else "pass", ",".join(failed)))
 
     width = max((len(r[0]) for r in rows), default=4)
     for name, status, detail in rows:
@@ -424,16 +425,13 @@ def cmd_batch(args) -> int:
         if detail:
             line += f"  {detail}"
         print(line)
-    n_pass, n_fail, n_error = (
-        sum(status == s for _, status, _ in rows) for s in ("pass", "FAIL", "error")
-    )
-    print(f"{len(files)} file(s): {n_pass} passed, {n_fail} failed, {n_error} error(s)")
+    tally = Counter(status for _, status, _ in rows)
+    print(f"{len(files)} file(s): {tally['pass']} passed, {tally['FAIL']} failed, "
+          f"{tally['error']} error(s)")
 
-    if files and n_error == len(files):
+    if files and tally["error"] == len(files):
         return 2
-    if n_fail or n_error:
-        return 1
-    return 0
+    return 1 if tally["FAIL"] or tally["error"] else 0
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -505,10 +503,22 @@ def main(argv=None) -> int:
     # parser, so a wrapper installed on it later (perfbench's tracer) still runs
     command = globals()[f"cmd_{args.command}"]
     try:
-        return command(args)
+        status = command(args)
+        sys.stdout.flush()  # so that a write error shows here, not at the interpreter's exit
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except OSError as e:
+        # Standard output is closed or full: every other OSError is an
+        # InputError where it arises.  Output still buffered would fail
+        # again at exit, so it goes to the null device instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: standard output: {e.strerror or e}", file=sys.stderr)
+        return 2
+    return status
 
 
 if __name__ == "__main__":

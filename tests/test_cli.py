@@ -874,6 +874,15 @@ def test_batch_unwritable_report_directory_is_an_error_per_file(tmp_path, capsys
     assert lines[-1] == "2 file(s): 0 passed, 0 failed, 2 error(s)"
 
 
+def test_batch_unlistable_directory_is_an_input_error(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "iterdir", refuse)
+    rc, out, err = run(capsys, "batch", str(tmp_path))
+    assert (rc, out, err) == (2, "", f"error: {tmp_path}: Permission denied\n")
+
+
 def test_batch_output_sorted_by_filename(tmp_path, capsys):
     _write_corpus(tmp_path, ["torus7", "polygon:4", "simplex_boundary:2"])
     rc, out, _ = run(capsys, "batch", str(tmp_path))
@@ -986,6 +995,44 @@ def test_no_color_respected():
     returncode, stdout = run_on_terminal(argv, env)
     assert returncode == 0, stdout
     assert "\x1b" not in stdout
+
+
+# -- standard output that cannot be written ------------------------------------------
+
+
+def run_into(stdout, *argv):
+    """Run the CLI in a child whose standard output is the file descriptor ``stdout``."""
+    return subprocess.run(
+        [sys.executable, "-m", "eulerian_kit", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+    )
+
+
+@pytest.mark.parametrize("command", ["info", "batch"])
+def test_a_closed_standard_output_exits_2_in_silence(tmp_path, command):
+    (tmp_path / "t.facets").write_text("a b\nb c\nc a\n")
+    argv = ["info", "--gen", "polygon:4"] if command == "info" else ["batch", str(tmp_path)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its first write fails
+    try:
+        proc = run_into(write_end, *argv)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
+def test_a_full_standard_output_exits_2_with_one_error_line():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "wb") as full:
+        proc = run_into(full.fileno(), "check", "--gen", "torus7", "--all", "--json")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: standard output: ")
 
 
 # -- file names that are not valid UTF-8 ------------------------------------------
