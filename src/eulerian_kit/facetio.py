@@ -112,7 +112,7 @@ def read_facets(path, fmt: str | None = None) -> list[list[str]]:
         raise InputError(f"unknown facet format {fmt!r}")
     source = display_path(path)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not text
     except OSError as e:
         raise InputError(f"{source}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:

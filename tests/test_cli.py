@@ -813,6 +813,27 @@ def test_overlong_integer_in_json_file_is_an_input_error(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [("t.facets", "a b\nb c\nc a\n"), ("t.json", '{"facets": [["a","b"],["b","c"],["c","a"]]}')],
+    ids=["plain", "json"],
+)
+def test_a_leading_byte_order_mark_is_not_part_of_the_first_label(tmp_path, capsys, name, text):
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "marked").mkdir()
+    (tmp_path / "plain" / name).write_text(text, encoding="utf-8")
+    (tmp_path / "marked" / name).write_text(text, encoding="utf-8-sig")
+    reports = []
+    for directory in ("plain", "marked"):
+        path = str(tmp_path / directory / name)
+        rc, doc, err = run_json(capsys, "check", path, "all", "flag", "--json")
+        assert doc.pop("input")["path"] == path
+        reports.append((rc, doc, err))
+    assert reports[0] == reports[1]
+    assert reports[0][1]["f_vector"] == ["3", "3"]
+    assert reports[0][1]["is_flag"]["witness"] == ["a", "b", "c"]
+
+
 def test_lone_surrogate_label_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "sur.json"
     path.write_text('{"facets": [["\\ud800", "b"]]}')
