@@ -19,20 +19,30 @@ from .complexes import SimplicialComplex
 from .errors import InputError
 
 _TOKEN = re.compile(r"\S+")
-_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")  # Unicode category Cc: C0, DEL and C1
+# Unicode category Cc (C0, DEL and C1), the line and paragraph separators,
+# and the bidirectional marks, embeddings, overrides and isolates
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f\u061c\u200e\u200f\u2028-\u202e\u2066-\u2069]")
 
 FORMATS = ("plain", "json")
 
 
+def _escape(m: re.Match) -> str:
+    code = ord(m.group())
+    return f"\\x{code:02x}" if code < 0x100 else f"\\u{code:04x}"
+
+
 def escape_controls(text: str) -> str:
-    """text with each control character as \\xNN, such as \\x1b for ESC."""
-    return _CONTROL.sub(lambda m: f"\\x{ord(m.group()):02x}", text)
+    """text with each character that changes how a line displays escaped: a
+    control character as \\xNN, such as \\x1b for ESC, and a line separator
+    or bidirectional control as \\uNNNN, such as \\u202e for an override."""
+    return _CONTROL.sub(_escape, text)
 
 
 def display_path(path) -> str:
     """A file path as printable text on one line: bytes of its name that are
-    not valid UTF-8 appear as backslash escapes such as \\xff, and control
-    characters as \\xNN, such as \\x0a for a newline."""
+    not valid UTF-8 appear as backslash escapes such as \\xff, and the
+    characters escape_controls escapes as it escapes them, such as \\x0a for
+    a newline."""
     return escape_controls(os.fsencode(path).decode("utf-8", "backslashreplace"))
 
 

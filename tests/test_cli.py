@@ -621,8 +621,8 @@ def test_the_writer_refuses_what_a_report_never_holds(value):
 
 
 def test_text_reports_show_control_characters_in_labels_escaped(tmp_path, capsys):
-    """A witness or failure label prints with \\xNN escapes, as a file name
-    does; the JSON report keeps the label itself."""
+    """A witness or failure label prints with \\xNN and \\uNNNN escapes, as a
+    file name does; the JSON report keeps the label itself."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"facets": [["\x1b[2J", "b"], ["b", "c"], ["c", "\x1b[2J"]]}))
     rc, out, _ = run(capsys, "check", str(path), "flag")
@@ -637,6 +637,9 @@ def test_text_reports_show_control_characters_in_labels_escaped(tmp_path, capsys
     ]
     rc, doc, _ = run_json(capsys, "check", str(path), "eulerian", "--json")
     assert doc["is_eulerian"]["witness"] == ["\x1b[2J"]
+    path.write_text(json.dumps({"facets": [["\u202ex", "b"], ["b", "c"], ["c", "\u202ex"]]}))
+    rc, out, _ = run(capsys, "check", str(path), "flag")
+    assert (rc, out.splitlines()[6]) == (1, r"flag: no   non-face clique: {\u202ex,b,c}")
 
 
 # -- gen --------------------------------------------------------------------------
@@ -1120,6 +1123,17 @@ def test_batch_error_rows_show_undecodable_file_names_escaped(tmp_path):
 TRIANGLE = "a b\nb c\nc a\n"
 
 
+# file names and how reports show them: a control character as \xNN, and a
+# line separator or bidirectional control as \uNNNN
+ESCAPED_NAMES = [
+    ("a\nb.facets", r"a\x0ab.facets"),
+    ("t\tab.facets", r"t\x09ab.facets"),
+    *((f"a{ch}b.facets", f"a\\u{ord(ch):04x}b.facets") for ch in (
+        "\u2028\u2029\u061c\u200e\u200f\u202a\u202b\u202c\u202d\u202e\u2066\u2067\u2068\u2069"
+    )),
+]
+
+
 def control_file(directory, name):
     """Write a triangle to ``directory / name``; skip where the name is refused."""
     try:
@@ -1128,9 +1142,7 @@ def control_file(directory, name):
         pytest.skip("the file system does not accept this file name")
 
 
-@pytest.mark.parametrize(
-    "name, shown", [("a\nb.facets", r"a\x0ab.facets"), ("t\tab.facets", r"t\x09ab.facets")]
-)
+@pytest.mark.parametrize("name, shown", ESCAPED_NAMES)
 def test_batch_rows_show_control_characters_escaped(tmp_path, capsys, name, shown):
     control_file(tmp_path, name)
     (tmp_path / "ok.facets").write_text(TRIANGLE)
@@ -1143,9 +1155,7 @@ def test_batch_rows_show_control_characters_escaped(tmp_path, capsys, name, show
     assert report["input"]["path"] == os.path.join(str(tmp_path), shown)
 
 
-@pytest.mark.parametrize(
-    "name, shown", [("a\nb.facets", r"a\x0ab.facets"), ("t\tab.facets", r"t\x09ab.facets")]
-)
+@pytest.mark.parametrize("name, shown", ESCAPED_NAMES)
 def test_check_reports_show_control_characters_escaped(tmp_path, capsys, name, shown):
     control_file(tmp_path, name)
     rc, doc, _ = run_json(capsys, "check", str(tmp_path / name), "--json")
