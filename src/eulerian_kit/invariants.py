@@ -22,7 +22,7 @@ def f_polynomial(K: SimplicialComplex) -> list[int]:
     return list(K.by_size)
 
 
-def _eval_descending(coeffs, t: int) -> int:
+def _eval_descending(coeffs: list[int] | tuple[int, ...], t: int) -> int:
     acc = 0
     for c in coeffs:
         acc = acc * t + c
