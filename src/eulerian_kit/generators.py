@@ -50,25 +50,21 @@ def simplex_boundary(n: int) -> SimplicialComplex:
 def cross_polytope_boundary(n: int) -> SimplicialComplex:
     """Boundary of the n-dimensional cross-polytope.
 
-    Vertices p_i, m_i for i = 1..n; faces are the subsets containing no
-    antipodal pair, so the facets pick one sign per axis.  The faces are
-    built axis by axis: every face so far, extended by neither pole of the
-    next axis or by one of them.
+    The join of its n axes, axis i being the two poles p_i and m_i; so the
+    faces are the subsets containing no antipodal pair, and the facets pick
+    one sign per axis.  The axes are joined as a balanced tree, each half of
+    a range of axes joined first, so the two sides of every join are of
+    about the same size.
     """
     _at_least(1, "cross_polytope_boundary", n)
-    labels = []
-    for i in range(1, n + 1):
-        labels += [f"p{i}", f"m{i}"]
-    # by_size[s] holds the faces with s vertices; the poles of axis i are the
-    # ids 2i and 2i + 1, above every id so far, so the tuples stay sorted.
-    by_size: list[list[Face]] = [[()]]
-    for pole in range(0, 2 * n, 2):
-        by_size.append([])
-        for s in range(len(by_size) - 1, 0, -1):
-            by_size[s] += map(add, by_size[s - 1], itertools.repeat((pole,)))
-            by_size[s] += map(add, by_size[s - 1], itertools.repeat((pole + 1,)))
-    levels = {k: by_size[k + 1] for k in range(n)}
-    return SimplicialComplex._from_levels(levels, by_size[n], labels)
+
+    def axes(lo: int, hi: int) -> SimplicialComplex:
+        if hi - lo == 1:
+            return _points(f"p{hi}", f"m{hi}")
+        mid = (lo + hi) // 2
+        return join(axes(lo, mid), axes(mid, hi))
+
+    return axes(0, n)
 
 
 def polygon(n: int) -> SimplicialComplex:

@@ -72,6 +72,21 @@ def test_cross_polytope_has_no_antipodal_faces():
         assert len(set(axes)) == len(axes)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cross_polytope_is_the_closure_of_its_sign_choices(n):
+    """The joined axes give the complex whose facets pick one pole per axis,
+    p_i as id 2i - 2 and m_i as id 2i - 1: the same labels, facets and levels."""
+    labels = [pole + str(i) for i in range(1, n + 1) for pole in "pm"]
+    signs = itertools.product(*((2 * i, 2 * i + 1) for i in range(n)))
+    expected = SimplicialComplex.from_indexed_facets(list(signs), labels)
+    K = gen.cross_polytope_boundary(n)
+    assert K.labels == expected.labels == tuple(labels)
+    assert K.facets == expected.facets
+    assert [K.faces_of_dim(k) for k in range(n)] == [
+        expected.faces_of_dim(k) for k in range(n)
+    ]
+
+
 def test_cross_polytope_is_flag():
     for n in range(1, 5):
         assert gen.cross_polytope_boundary(n).is_flag().holds
