@@ -382,10 +382,9 @@ def cmd_gen(args) -> int:
     spec = parse_generator_expr(args.expr)
     K = build(spec)
     write_facets(K, args.output, args.format)
-    print(
+    _note(
         f"wrote {len(K.facets)} facets ({K.num_faces()} faces, dim {K.dim}) "
-        f"to {display_path(args.output)}",
-        file=sys.stderr,
+        f"to {display_path(args.output)}"
     )
     return 0
 
@@ -434,8 +433,17 @@ def cmd_batch(args) -> int:
     return 1 if tally["FAIL"] or tally["error"] else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose help and usage writes raise their OSError, which
+    argparse's own _print_message swallows; its subparsers share the class."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eulerian-kit",
         description=(
             "Exact f-vector, h-vector, and Euler-characteristic computations for "
@@ -488,35 +496,53 @@ def build_arg_parser() -> argparse.ArgumentParser:
 _parser = None
 
 
+def _silence(stream) -> None:
+    """Point stream's file descriptor at the null device: output it still
+    buffers would fail again at the interpreter's exit."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _note(line: str) -> None:
+    """Print line on standard error, which is silenced if it is closed or full."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _silence(sys.stderr)
+
+
 def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_arg_parser()
-    args, extra = _parser.parse_known_args(argv)
-    # argparse takes a command's positionals in one block, so check names given
-    # after an option that follows the operands come back unparsed
-    if extra and args.command in ("check", "batch") and not any(w.startswith("-") for w in extra):
-        args.which += extra
-    elif extra:
-        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
-    # cmd_<command> is looked up at each call, not bound into the cached
-    # parser, so a wrapper installed on it later (perfbench's tracer) still runs
-    command = globals()[f"cmd_{args.command}"]
     try:
-        status = command(args)
+        try:
+            args, extra = _parser.parse_known_args(argv)
+        except SystemExit:
+            sys.stdout.flush()  # help that a full standard output did not take fails here
+            raise
+        # argparse takes a command's positionals in one block, so check names given
+        # after an option that follows the operands come back unparsed
+        if extra and args.command in ("check", "batch") and not any(
+            w.startswith("-") for w in extra
+        ):
+            args.which += extra
+        elif extra:
+            args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
+        # cmd_<command> is looked up at each call, not bound into the cached
+        # parser, so a wrapper installed on it later (perfbench's tracer) still runs
+        status = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # so that a write error shows here, not at the interpreter's exit
     except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _note(f"error: {e}")
         return 2
     except OSError as e:
         # Standard output is closed or full: every other OSError is an
-        # InputError where it arises.  Output still buffered would fail
-        # again at exit, so it goes to the null device instead.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # InputError where it arises, and standard error's are _note's.
+        _silence(sys.stdout)
         if not isinstance(e, BrokenPipeError):
-            print(f"error: standard output: {e.strerror or e}", file=sys.stderr)
+            _note(f"error: standard output: {e.strerror or e}")
         return 2
     return status
 

@@ -1024,15 +1024,28 @@ def test_no_color_respected():
 # -- standard output that cannot be written ------------------------------------------
 
 
-def run_into(stdout, *argv):
-    """Run the CLI in a child whose standard output is the file descriptor ``stdout``."""
+def run_into(stdout, *argv, stderr=subprocess.PIPE, unbuffered=None):
+    """Run the CLI in a child whose standard output is the file descriptor
+    ``stdout``; ``unbuffered`` sets or unsets ``PYTHONUNBUFFERED`` if given."""
+    env = child_env()
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", "eulerian_kit", *argv],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         text=True,
-        env=child_env(),
+        env=env,
     )
+
+
+def full_device():
+    """The device every write to fails with ENOSPC; skip where there is none."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    return open("/dev/full", "wb")
 
 
 @pytest.mark.parametrize("command", ["info", "batch"])
@@ -1049,14 +1062,52 @@ def test_a_closed_standard_output_exits_2_in_silence(tmp_path, command):
 
 
 def test_a_full_standard_output_exits_2_with_one_error_line():
-    if not os.path.exists("/dev/full"):
-        pytest.skip("no /dev/full on this system")
-    with open("/dev/full", "wb") as full:
+    with full_device() as full:
         proc = run_into(full.fileno(), "check", "--gen", "torus7", "--all", "--json")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: standard output: ")
+
+
+# with PYTHONUNBUFFERED unset, a failed write stays buffered and fails again at exit
+BUFFERING = pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+
+
+@BUFFERING
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=" ".join)
+def test_help_to_a_full_standard_output_exits_2_with_one_error_line(argv, unbuffered):
+    with full_device() as full:
+        proc = run_into(full.fileno(), *argv, unbuffered=unbuffered)
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: standard output: ")
+
+
+@BUFFERING
+def test_an_input_error_to_a_closed_standard_error_exits_2(tmp_path, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_into(
+            subprocess.PIPE, "info", str(tmp_path / "missing.facets"),
+            stderr=write_end, unbuffered=unbuffered,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+@BUFFERING
+def test_gen_with_a_full_standard_error_writes_its_file_and_exits_0(tmp_path, unbuffered):
+    path = tmp_path / "F"
+    with full_device() as full:
+        proc = run_into(
+            subprocess.PIPE, "gen", "polygon:4", "-o", str(path),
+            stderr=full.fileno(), unbuffered=unbuffered,
+        )
+    assert (proc.returncode, proc.stdout) == (0, "")
+    assert len(path.read_text().splitlines()) == 4
 
 
 # -- file names that are not valid UTF-8 ------------------------------------------
