@@ -20,30 +20,39 @@ from .errors import InputError
 
 _TOKEN = re.compile(r"\S+")
 # Unicode category Cc (C0, DEL and C1), the line and paragraph separators,
-# and the bidirectional marks, embeddings, overrides and isolates
-_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f\u061c\u200e\u200f\u2028-\u202e\u2066-\u2069]")
+# the bidirectional marks, embeddings, overrides and isolates, the backslash
+# that starts every escape, and the surrogates os.fsdecode gives bytes that
+# are not UTF-8
+_CONTROL = re.compile(
+    "[\x00-\x1f\\\\\x7f-\x9f\u061c\u200e\u200f\u2028-\u202e\u2066-\u2069\udc80-\udcff]"
+)
 
 FORMATS = ("plain", "json")
 
 
 def _escape(m: re.Match) -> str:
     code = ord(m.group())
+    if code == 0x5C:
+        return "\\\\"
+    if code >= 0xDC80:  # a byte that is not UTF-8, as os.fsdecode escapes it
+        code -= 0xDC00
     return f"\\x{code:02x}" if code < 0x100 else f"\\u{code:04x}"
 
 
 def escape_controls(text: str) -> str:
-    """text with each character that changes how a line displays escaped: a
-    control character as \\xNN, such as \\x1b for ESC, and a line separator
-    or bidirectional control as \\uNNNN, such as \\u202e for an override."""
+    """text with each character that changes how a line displays escaped, so
+    that it reads back to exactly one string: a control character as \\xNN,
+    such as \\x1b for ESC, a line separator or bidirectional control as
+    \\uNNNN, such as \\u202e for an override, a backslash as \\\\, and the
+    surrogate os.fsdecode gives an undecodable byte as that byte, \\xNN."""
     return _CONTROL.sub(_escape, text)
 
 
 def display_path(path) -> str:
-    """A file path as printable text on one line: bytes of its name that are
-    not valid UTF-8 appear as backslash escapes such as \\xff, and the
-    characters escape_controls escapes as it escapes them, such as \\x0a for
-    a newline."""
-    return escape_controls(os.fsencode(path).decode("utf-8", "backslashreplace"))
+    """A file path as printable text on one line, escaped by escape_controls:
+    bytes of its name that are not valid UTF-8 appear as \\xNN, such as
+    \\xff, and a newline as \\x0a."""
+    return escape_controls(os.fsdecode(path))
 
 
 def to_json(value, indent: str = "\n") -> str:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eulerian_kit
@@ -29,7 +29,13 @@ from eulerian_kit.cli import (
 from eulerian_kit.complexes import SimplicialComplex
 from eulerian_kit.checks import check_main_formula, ds_residuals, proof_trace
 from eulerian_kit.errors import InputError, PreconditionError
-from eulerian_kit.facetio import load_complex, to_json, write_facets
+from eulerian_kit.facetio import (
+    display_path,
+    escape_controls,
+    load_complex,
+    to_json,
+    write_facets,
+)
 from eulerian_kit.generators import MAX_NESTING, FaceCounts, build, face_counts
 from eulerian_kit.invariants import f_vector
 
@@ -642,6 +648,42 @@ def test_text_reports_show_control_characters_in_labels_escaped(tmp_path, capsys
     assert (rc, out.splitlines()[6]) == (1, r"flag: no   non-face clique: {\u202ex,b,c}")
 
 
+@pytest.mark.parametrize("label, shown", [
+    ("\x1b", r"\x1b"),
+    (r"\x1b", r"\\x1b"),
+    ("\u202e", r"\u202e"),
+    (r"\u202e", r"\\u202e"),
+    ("\\", r"\\"),
+], ids=["ESC", "spelled ESC", "override", "spelled override", "backslash"])
+def test_a_label_spelled_as_an_escape_is_shown_apart_from_it(tmp_path, capsys, label, shown):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"facets": [[label, "b"], ["b", "c"], ["c", label]]}))
+    rc, out, _ = run(capsys, "check", str(path), "flag")
+    assert (rc, out.splitlines()[6]) == (1, f"flag: no   non-face clique: {{{shown},b,c}}")
+
+
+def _read_back(shown):
+    """The text escape_controls was given, read back from what it shows."""
+    return re.sub(
+        r"\\(\\|x[0-9a-f]{2}|u[0-9a-f]{4})",
+        lambda m: "\\" if m[1] == "\\" else chr(int(m[1][1:], 16)),
+        shown,
+    )
+
+
+@given(st.text(st.characters(blacklist_categories=("Cs",))))
+@example(r"\x1b")
+@example(r"\u202e\\")
+def test_shown_text_reads_back_to_exactly_one_string(text):
+    assert _read_back(escape_controls(text)) == text
+
+
+def test_display_path_shows_undecodable_bytes_and_backslashes_escaped():
+    assert display_path(b"x\xff\\y") == r"x\xff\\y"
+    assert display_path(Path(os.fsdecode(b"x\xff\\y"))) == r"x\xff\\y"
+    assert display_path("\\xff") == r"\\xff"
+
+
 # -- gen --------------------------------------------------------------------------
 
 
@@ -1174,10 +1216,11 @@ def test_batch_error_rows_show_undecodable_file_names_escaped(tmp_path):
 TRIANGLE = "a b\nb c\nc a\n"
 
 
-# file names and how reports show them: a control character as \xNN, and a
-# line separator or bidirectional control as \uNNNN
+# file names and how reports show them: a control character as \xNN, a
+# backslash as \\, and a line separator or bidirectional control as \uNNNN
 ESCAPED_NAMES = [
     ("a\nb.facets", r"a\x0ab.facets"),
+    ("a\\b.facets", r"a\\b.facets"),
     ("t\tab.facets", r"t\x09ab.facets"),
     *((f"a{ch}b.facets", f"a\\u{ord(ch):04x}b.facets") for ch in (
         "\u2028\u2029\u061c\u200e\u200f\u202a\u202b\u202c\u202d\u202e\u2066\u2067\u2068\u2069"
