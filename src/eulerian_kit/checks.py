@@ -213,9 +213,12 @@ def proof_trace(K: SimplicialComplex) -> CheckReport:
         P = sum_{i=0}^{m} (-1)^i (h_{2m+1-i} - h_i).
 
     A = C and A = P are pure substitution identities and hold for every
-    complex; A = B holds exactly when the Dehn-Sommerville residuals do, so
-    the per-component booleans show which step breaks on a non-Eulerian
-    complex.  An empty or odd-dimensional K raises PreconditionError.
+    complex.  Since C = scaled_rhs - 2^{2m+1} and B = scaled_lhs - 2^{2m+1},
+    A = B holds exactly when check_main_formula does.  The Dehn-Sommerville
+    rows i = 0..m, summed with alternating signs, give P on the left and B
+    on the right, so A = B holds whenever every row does.  The converse
+    fails: a complex whose failing rows cancel in that sum passes A = B.
+    An empty or odd-dimensional K raises PreconditionError.
     """
     if K.is_empty():
         raise PreconditionError("empty complex")

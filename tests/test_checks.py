@@ -429,6 +429,43 @@ def test_substitution_identities_hold_for_random_even_dimensional_complexes():
         count += 1
 
 
+def test_proof_trace_holds_where_the_formula_does_though_dehn_sommerville_fails():
+    """Every Dehn-Sommerville row holding gives A = B, but A = B does not give
+    them: this pure 4-complex fails rows 1-4 while the formula and the proof
+    trace hold."""
+    K = SimplicialComplex.from_facets(
+        [["1", "2", "3", "5", "7"], ["1", "2", "3", "4", "6"],
+         ["0", "1", "3", "6", "7"], ["0", "2", "4", "6", "7"]]
+    )
+    assert K.by_size == (1, 8, 25, 35, 20, 4) and euler_characteristic(K) == 2
+    rows, ds = ds_residuals(K)
+    assert [(row.lhs, row.rhs) for row in rows] == [(0, 0), (-5, 0), (-5, 0), (5, 0), (5, 0), (0, 0)]
+    assert ds.failures == [1, 2, 3, 4]
+    formula = check_main_formula(K)
+    assert formula.holds and formula.values["scaled_lhs"] == formula.values["scaled_rhs"] == 32
+    rep = proof_trace(K)
+    assert rep.holds
+    assert rep.values["A"] == rep.values["B"] == rep.values["C"] == rep.values["P"] == 0
+
+
+@given(
+    f=st.integers(0, 3).flatmap(
+        lambda m: st.lists(st.integers(0, 12), min_size=2 * m + 1, max_size=2 * m + 1)
+    )
+)
+@example(f=[8, 25, 35, 20, 4])
+@example(f=[6, 12, 8])
+@example(f=[4, 6, 4])
+@example(f=[7, 21, 14])
+def test_proof_trace_holds_exactly_when_the_formula_does(f):
+    """Given A = C, which holds for any f-vector, C = scaled_rhs - 2^(2m+1)
+    and B = scaled_lhs - 2^(2m+1), so A = B is the formula's equality."""
+    K = gen.FaceCounts((1, *f))
+    rep = proof_trace(K)
+    assert rep.values["a_equals_c"] and rep.values["a_equals_p"]
+    assert rep.holds == check_main_formula(K).holds
+
+
 @given(
     f=st.integers(0, 6).flatmap(
         lambda m: st.lists(st.integers(0, 10**30), min_size=2 * m + 1, max_size=2 * m + 1)
