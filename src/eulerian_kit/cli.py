@@ -539,7 +539,7 @@ def main(argv=None) -> int:
         return 2
     except OSError as e:
         # Standard output is closed or full: every other OSError is an
-        # InputError where it arises, and standard error's are _note's.
+        # InputError where it arises, and _note takes standard error's own.
         _silence(sys.stdout)
         if not isinstance(e, BrokenPipeError):
             _note(f"error: standard output: {e.strerror or e}")

@@ -50,11 +50,10 @@ def simplex_boundary(n: int) -> SimplicialComplex:
 def cross_polytope_boundary(n: int) -> SimplicialComplex:
     """Boundary of the n-dimensional cross-polytope.
 
-    The join of its n axes, axis i being the two poles p_i and m_i; so the
-    faces are the subsets containing no antipodal pair, and the facets pick
-    one sign per axis.  The axes are joined as a balanced tree, each half of
-    a range of axes joined first, so the two sides of every join are of
-    about the same size.
+    The join of its n axes, axis i being the poles p_i and m_i, so the faces
+    are the subsets containing no antipodal pair and the facets pick one
+    pole per axis.  The axes are joined halves first, which at large n is
+    faster than joining them one at a time.
     """
     _at_least(1, "cross_polytope_boundary", n)
 
