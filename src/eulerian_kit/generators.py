@@ -223,13 +223,14 @@ class FaceCounts(namedtuple("FaceCounts", "by_size pure witness digits",
     SimplicialComplex.is_flag returns, the lex-least of the least non-face
     cliques, as vertex ids; None when the complex is flag.  digits are the
     digit-shaped labels ("3", "3''"), the only ones a witness can carry and
-    the only ones its labels can collide with: runs (lo, hi, offset, primes),
-    in id order, giving vertex n + offset the label of n with that many
-    primes for lo <= n < hi.  It answers the queries of SimplicialComplex
-    that the f-vector and the checks built on it read: by_size, dim,
-    is_empty, is_pure, is_flag, and labels_of for the witness's vertices.
-    So face_counts(spec).is_flag() is build(spec).is_flag() in closed form,
-    where the built complex walks its cliques.
+    the only ones its labels can collide with: one pair (offset, n) per
+    numbered leaf, in id order, whose vertices offset + k, 0 <= k < n, are
+    labeled k with one prime per earlier leaf that has more than k vertices.
+    It answers the queries of SimplicialComplex that the f-vector and the
+    checks built on it read: by_size, dim, is_empty, is_pure, is_flag, and
+    labels_of for the witness's vertices.  So face_counts(spec).is_flag()
+    is build(spec).is_flag() in closed form, where the built complex walks
+    its cliques.
     """
 
     __slots__ = ()
@@ -249,9 +250,10 @@ class FaceCounts(namedtuple("FaceCounts", "by_size pure witness digits",
         return tuple(map(self._digit_label, face))
 
     def _digit_label(self, v: int) -> str:
-        for lo, hi, offset, primes in self.digits:
-            if lo <= v - offset < hi:
-                return str(v - offset) + "'" * primes
+        for i, (offset, n) in enumerate(self.digits):
+            k = v - offset
+            if 0 <= k < n:
+                return str(k) + "'" * sum(m > k for _, m in self.digits[:i])
         raise KeyError(f"vertex {v} has no digit-shaped label")
 
     def is_flag(self) -> CheckReport:
@@ -263,7 +265,7 @@ class FaceCounts(namedtuple("FaceCounts", "by_size pure witness digits",
 
 def _numbered(by_size: tuple[int, ...], witness: Face | None = None) -> FaceCounts:
     """The FaceCounts of a leaf whose vertex labels are its ids in decimal."""
-    return FaceCounts(by_size, witness=witness, digits=((0, by_size[1], 0, 0),))
+    return FaceCounts(by_size, witness=witness, digits=((0, by_size[1]),))
 
 
 def _simplex_boundary_counts(n: int) -> FaceCounts:
@@ -289,27 +291,21 @@ def _polygon_counts(n: int) -> FaceCounts:
 
 def _merged(A: FaceCounts, B: FaceCounts, by_size, pure: bool) -> FaceCounts:
     """The FaceCounts of a join or disjoint union of A and B with these
-    counts.  B's ids shift up by A's vertex count and its labels take the
-    primes _merge_labels gives them.  Each clique of either is a union of a
-    clique of each side, and a non-face when a part is, so the least
-    non-face cliques are A's or B's, and A's come first on a tie."""
+    counts.  B's ids shift up by A's vertex count.  Each clique of either is
+    a union of a clique of each side, and a non-face when a part is, so the
+    least non-face cliques are A's or B's, and A's come first on a tie.
+
+    B's numbered leaves follow A's.  _merge_labels gives B's j-th label of
+    stem k the fewest primes, at least j, not in use: A's stem-k labels use
+    0..a-1 and B's earlier ones a..a+j-1, so it takes a + j, one per earlier
+    leaf with more than k vertices, as FaceCounts.digits reads.  No other
+    label is digit-shaped, so none blocks one."""
     shift = A.by_size[1]
     witness = A.witness
     if B.witness is not None and (witness is None or len(B.witness) < len(witness)):
         witness = tuple(v + shift for v in B.witness)
-    digits = list(A.digits)
-    for lo, hi, offset, primes in B.digits:
-        # cut [lo, hi) where a run so far starts or ends, so that the primes
-        # in use are the same across each piece; as in _fresh_label, a piece
-        # takes the fewest primes, at least its own, that are not in use
-        cuts = sorted({lo, hi, *(n for run in digits for n in run[:2] if lo < n < hi)})
-        for start, stop in zip(cuts, cuts[1:]):
-            used = {run[3] for run in digits if run[0] <= start < run[1]}
-            fresh = primes
-            while fresh in used:
-                fresh += 1
-            digits.append((start, stop, offset + shift, fresh))
-    return FaceCounts(tuple(by_size), pure, witness, tuple(digits))
+    digits = A.digits + tuple((offset + shift, n) for offset, n in B.digits)
+    return FaceCounts(tuple(by_size), pure, witness, digits)
 
 
 def _join_counts(A: FaceCounts, B: FaceCounts) -> FaceCounts:

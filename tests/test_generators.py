@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import random
+import re
 import sys
 import time
 from math import comb
@@ -567,6 +568,27 @@ def test_face_counts_flag_witness_is_the_clique_walks(spec):
     counted = gen.face_counts(spec).is_flag()
     assert (counted.holds, counted.witness) == (walked.holds, walked.witness)
     assert counted.values == walked.values
+
+
+_DIGIT_LABEL = re.compile(r"[0-9]+'*")
+
+
+@given(spec=_spec_trees())
+@example(spec=_S("join", (), (
+    _S("join", (), (_S("polygon", (5,)), _S("polygon", (3,)))),
+    _S("join", (), (_S("polygon", (4,)), _TORUS)),
+)))
+def test_face_counts_label_every_digit_vertex_as_built(spec):
+    """The count rules label every vertex whose built label is digits and
+    primes as the build does, and refuse every other vertex."""
+    spec, K = pruned(spec)
+    counts = gen.face_counts(spec)
+    for v, label in enumerate(K.labels):
+        if _DIGIT_LABEL.fullmatch(label):
+            assert counts.labels_of((v,)) == K.labels_of((v,))
+        else:
+            with pytest.raises(KeyError):
+                counts.labels_of((v,))
 
 
 def cli_outcome(argv):
