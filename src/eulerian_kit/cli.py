@@ -112,10 +112,12 @@ def _vec(values) -> str:
 
 
 def _wit(witness) -> str:
-    """A face as {a,b,c}, its labels' control characters escaped, or a
-    witness that is not a face as it is."""
+    """A face as {a,b,c}, each label escaped by escape_controls and its
+    commas shown as \\x2c, so that the labels read back apart; or a witness
+    that is not a face as it is."""
     if isinstance(witness, list):
-        return "{" + escape_controls(",".join(witness)) + "}"
+        shown = (escape_controls(label).replace(",", "\\x2c") for label in witness)
+        return "{" + ",".join(shown) + "}"
     return str(witness)
 
 

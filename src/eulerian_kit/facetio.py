@@ -35,16 +35,17 @@ def _escape(m: re.Match) -> str:
     if code == 0x5C:
         return "\\\\"
     if code >= 0xDC80:  # a byte that is not UTF-8, as os.fsdecode escapes it
-        code -= 0xDC00
-    return f"\\x{code:02x}" if code < 0x100 else f"\\u{code:04x}"
+        return f"\\x{code - 0xDC00:02x}"
+    return f"\\x{code:02x}" if code < 0x80 else f"\\u{code:04x}"
 
 
 def escape_controls(text: str) -> str:
     """text with each character that changes how a line displays escaped, so
-    that it reads back to exactly one string: a control character as \\xNN,
-    such as \\x1b for ESC, a line separator or bidirectional control as
-    \\uNNNN, such as \\u202e for an override, a backslash as \\\\, and the
-    surrogate os.fsdecode gives an undecodable byte as that byte, \\xNN."""
+    that it reads back to exactly one string: a C0 control or DEL as \\xNN,
+    such as \\x1b for ESC, a C1 control, line separator or bidirectional
+    control as \\uNNNN, such as \\u009b for CSI and \\u202e for an override,
+    a backslash as \\\\, and the surrogate os.fsdecode gives an undecodable
+    byte as that byte, \\xNN."""
     return _CONTROL.sub(_escape, text)
 
 

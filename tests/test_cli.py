@@ -639,7 +639,7 @@ def test_text_reports_show_control_characters_in_labels_escaped(tmp_path, capsys
     assert out.splitlines()[6:9] == [
         r"eulerian: FAIL   witness: {\x1b[2J} (link chi 1, expected 2)",
         r"    failure: {\x1b[2J} [bad_link] chi_link 1, expected 2",
-        r"    failure: {\x9b} [bad_link] chi_link 1, expected 2",
+        r"    failure: {\u009b} [bad_link] chi_link 1, expected 2",
     ]
     rc, doc, _ = run_json(capsys, "check", str(path), "eulerian", "--json")
     assert doc["is_eulerian"]["witness"] == ["\x1b[2J"]
@@ -654,12 +654,25 @@ def test_text_reports_show_control_characters_in_labels_escaped(tmp_path, capsys
     ("\u202e", r"\u202e"),
     (r"\u202e", r"\\u202e"),
     ("\\", r"\\"),
-], ids=["ESC", "spelled ESC", "override", "spelled override", "backslash"])
+    ("\x9b", r"\u009b"),
+    (r"\x9b", r"\\x9b"),
+    ("a,b", r"a\x2cb"),
+    (r"a\x2cb", r"a\\x2cb"),
+], ids=[
+    "ESC", "spelled ESC", "override", "spelled override", "backslash", "C1", "spelled C1",
+    "comma", "spelled comma",
+])
 def test_a_label_spelled_as_an_escape_is_shown_apart_from_it(tmp_path, capsys, label, shown):
+    """In a flag witness and in an exhaustive failure line; a comma inside a
+    label shows as \\x2c, so {a\\x2cb,b,c} is three labels, not four."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"facets": [[label, "b"], ["b", "c"], ["c", label]]}))
     rc, out, _ = run(capsys, "check", str(path), "flag")
     assert (rc, out.splitlines()[6]) == (1, f"flag: no   non-face clique: {{{shown},b,c}}")
+    path.write_text(json.dumps({"facets": [[label, "b"], ["b", "c"]]}))
+    rc, out, _ = run(capsys, "check", str(path), "eulerian", "--exhaustive")
+    assert rc == 1
+    assert f"    failure: {{{shown}}} [bad_link] chi_link 1, expected 2" in out.splitlines()
 
 
 def _read_back(shown):
@@ -682,6 +695,9 @@ def test_display_path_shows_undecodable_bytes_and_backslashes_escaped():
     assert display_path(b"x\xff\\y") == r"x\xff\\y"
     assert display_path(Path(os.fsdecode(b"x\xff\\y"))) == r"x\xff\\y"
     assert display_path("\\xff") == r"\\xff"
+    # a C1 control, U+0085, shows apart from the undecodable byte 0x85
+    assert display_path(b"a\xc2\x85") == r"a\u0085"
+    assert display_path(b"a\x85") == r"a\x85"
 
 
 # -- gen --------------------------------------------------------------------------
@@ -1216,10 +1232,11 @@ def test_batch_error_rows_show_undecodable_file_names_escaped(tmp_path):
 TRIANGLE = "a b\nb c\nc a\n"
 
 
-# file names and how reports show them: a control character as \xNN, a
-# backslash as \\, and a line separator or bidirectional control as \uNNNN
+# file names and how reports show them: a C0 control as \xNN, a backslash
+# as \\, and a C1 control, line separator or bidirectional control as \uNNNN
 ESCAPED_NAMES = [
     ("a\nb.facets", r"a\x0ab.facets"),
+    ("a\x85b.facets", r"a\u0085b.facets"),
     ("a\\b.facets", r"a\\b.facets"),
     ("t\tab.facets", r"t\x09ab.facets"),
     *((f"a{ch}b.facets", f"a\\u{ord(ch):04x}b.facets") for ch in (
