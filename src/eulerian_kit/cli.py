@@ -364,9 +364,6 @@ def _auditor(args):
 
 
 def cmd_info(args) -> int:
-    args.path = args.operands[0] if args.operands else None
-    if len(args.operands or []) > 1:
-        raise InputError("info takes a single facet file")
     doc, _ = build_document(*_load_input(args), {"flag"})
     _emit(doc, args.json)
     return 0
@@ -397,7 +394,7 @@ def cmd_batch(args) -> int:
         raise InputError(f"{display_path(args.dir)}: not a directory")
     suffixes = (".facets", ".txt", ".json")
     try:
-        files = sorted(p for p in dirpath.iterdir() if p.is_file() and p.suffix in suffixes)
+        files = sorted(p for p in dirpath.iterdir() if p.is_file() and p.suffix.lower() in suffixes)
     except OSError as e:
         raise InputError(f"{display_path(args.dir)}: {e.strerror or e}") from None
     outdir = Path(args.out) if args.out else dirpath / "reports"
@@ -459,7 +456,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     which_help = f"checks to run: {', '.join(CHOICES)} (default: all)"
 
     p_info = sub.add_parser("info", help="invariants of a complex, no theorem checks")
-    p_info.add_argument("operands", nargs="*", metavar="PATH", help="facet file (plain or json)")
+    p_info.add_argument("path", nargs="?", metavar="PATH", help="facet file (plain or json)")
     _add_input_args(p_info)
     p_info.add_argument("--json", action="store_true", help="emit a JSON report document")
 

@@ -1,8 +1,8 @@
 """Finite abstract simplicial complexes.
 
-A complex stores every nonempty face explicitly, bucketed by dimension:
-either closed downward from a facet list, or handed over level by level by
-a construction that already knows its faces.
+A complex stores every nonempty face explicitly, in one tuple of levels,
+indexed by dimension: either closed downward from a facet list, or handed
+over level by level by a construction that already knows its faces.
 Faces are tuples of dense vertex ids (strictly increasing); external string
 labels are interned in first-appearance order, so identical input always
 produces identical ids; a complex keeps them as one tuple indexed by vertex
@@ -44,22 +44,33 @@ class SimplicialComplex:
     Build instances from a facet list with :meth:`from_facets` (string
     labels) or :meth:`from_indexed_facets` (pre-assigned dense ids).  Both
     compute the downward closure, absorb dominated input faces, and record
-    the maximal faces.  The generators that know every face of what they
-    build skip the closure and hand their levels to :meth:`_from_levels`.
+    the maximal faces.  The faces are one tuple of levels, indexed by
+    dimension; the generators that know every face of what they build skip
+    the closure and hand their levels to the constructor.
     The vertex labels are one tuple, :attr:`labels`, indexed by vertex id.
     All query methods are read-only, and each counts or walks the stored
     faces; the closed forms of a generator expression are
     ``generators.face_counts``.
     """
 
-    __slots__ = ("_by_dim", "_facets", "_labels", "_dim")
+    __slots__ = ("_levels", "_facets", "_labels")
 
-    def __init__(self, by_dim, facets, labels):
-        # Internal: use the from_* classmethods.
-        self._by_dim: dict[int, frozenset[Face]] = by_dim
-        self._facets: tuple[Face, ...] = facets
-        self._labels: tuple[str, ...] = labels
-        self._dim: int = max(by_dim) if by_dim else -1
+    def __init__(
+        self,
+        levels: Iterable[Iterable[Face]],
+        facets: Iterable[Face],
+        labels: Sequence[str],
+    ):
+        """Internal: build from faces already closed downward.
+
+        ``levels[k]`` holds every face of dimension k, for k = 0..d, and
+        ``facets`` holds the maximal faces, in any order; nothing is
+        checked.  The generators that know their faces call this directly,
+        so each face is made once instead of once per face above it.
+        """
+        self._levels: tuple[frozenset[Face], ...] = tuple(map(frozenset, levels))
+        self._facets: tuple[Face, ...] = tuple(sorted(sorted(facets), key=len))
+        self._labels: tuple[str, ...] = tuple(labels)
 
     @classmethod
     def from_facets(cls, facets: Iterable[Sequence[str]]) -> SimplicialComplex:
@@ -116,7 +127,7 @@ class SimplicialComplex:
             if f:
                 given.setdefault(len(f) - 1, set()).add(tuple(f))
 
-        by_dim: dict[int, frozenset[Face]] = {}
+        levels: list[frozenset[Face]] = []
         maximal: list[Face] = []
         above: frozenset[Face] = frozenset()
         for k in range(max(given, default=-1), -1, -1):
@@ -125,42 +136,24 @@ class SimplicialComplex:
             if extra:
                 maximal += extra
                 level = level.union(extra)
-            by_dim[k] = above = level
+            levels.append(level)
+            above = level
+        levels.reverse()
 
-        if by_dim.get(0, frozenset()) != set(zip(range(len(labels)))):
+        if (levels[0] if levels else set()) != set(zip(range(len(labels)))):
             raise InputError(f"faces must use each vertex id in range({len(labels)}) and no other")
-        if not all(starmap(lt, by_dim.get(1, ()))):
+        if not all(starmap(lt, levels[1] if len(levels) > 1 else ())):
             raise InputError("every face must be a strictly increasing tuple of vertex ids")
         if len(set(labels)) != len(labels):
             raise InputError("vertex labels must be unique")
 
-        return cls._from_levels(by_dim, maximal, labels)
-
-    @classmethod
-    def _from_levels(
-        cls,
-        by_dim: dict[int, Iterable[Face]],
-        facets: Iterable[Face],
-        labels: Sequence[str],
-    ) -> SimplicialComplex:
-        """Internal: build from faces already closed downward.
-
-        ``by_dim`` maps each dimension 0..d to every face of that dimension
-        and ``facets`` holds the maximal faces, in any order; nothing is
-        checked.  The generators that know their faces call this directly,
-        so each face is made once instead of once per face above it.
-        """
-        return cls(
-            {k: frozenset(level) for k, level in by_dim.items()},
-            tuple(sorted(sorted(facets), key=len)),
-            tuple(labels),
-        )
+        return cls(levels, maximal, labels)
 
     # -- elementary queries -------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return len(self._levels) - 1
 
     @property
     def facets(self) -> tuple[Face, ...]:
@@ -173,27 +166,27 @@ class SimplicialComplex:
         return self._labels
 
     def is_empty(self) -> bool:
-        return self._dim == -1
+        return not self._levels
 
     def num_faces(self) -> int:
-        return sum(len(b) for b in self._by_dim.values())
+        return sum(map(len, self._levels))
 
     @property
     def by_size(self) -> tuple[int, ...]:
         """(1, f_0, ..., f_d): face counts by size, the empty face first."""
-        return (1, *map(len, map(self._by_dim.__getitem__, range(self._dim + 1))))
+        return (1, *map(len, self._levels))
 
     def faces_of_dim(self, i: int) -> frozenset[Face]:
-        return self._by_dim.get(i, frozenset())
+        """The faces of dimension i; empty when i < 0 or i > dim."""
+        return self._levels[i] if 0 <= i < len(self._levels) else frozenset()
 
     def faces(self) -> Iterator[Face]:
         """All faces in (dimension ascending, lexicographic) order."""
-        for k in sorted(self._by_dim):
-            yield from sorted(self._by_dim[k])
+        return chain.from_iterable(map(sorted, self._levels))
 
     def __contains__(self, face) -> bool:
         face = tuple(face)
-        return face in self._by_dim.get(len(face) - 1, ())
+        return face in self.faces_of_dim(len(face) - 1)
 
     def labels_of(self, face: Face) -> tuple[str, ...]:
         return tuple(map(self._labels.__getitem__, face))
@@ -255,7 +248,7 @@ class SimplicialComplex:
 
         The facets are sorted by dimension, so the first has the least.
         """
-        return not self._facets or len(self._facets[0]) - 1 == self._dim
+        return not self._facets or len(self._facets[0]) == len(self._levels)
 
     def is_flag(self) -> CheckReport:
         """Check that every clique of the 1-skeleton is a face.
@@ -279,7 +272,7 @@ class SimplicialComplex:
         def above(f: Face) -> set[int]:
             return up[f[-1]].intersection(*map(up.__getitem__, f[:-1]))
 
-        for k in range(1, self._dim + 1):
+        for k in range(1, len(self._levels)):
             level = self.faces_of_dim(k)
             larger = self.faces_of_dim(k + 1)
             if sum(map(len, map(above, level))) == len(larger):
@@ -297,6 +290,6 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         return (
-            f"SimplicialComplex(dim={self._dim}, "
+            f"SimplicialComplex(dim={self.dim}, "
             f"vertices={len(self._labels)}, faces={self.num_faces()})"
         )

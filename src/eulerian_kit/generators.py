@@ -43,8 +43,8 @@ def simplex_boundary(n: int) -> SimplicialComplex:
     """Boundary of the n-simplex: every proper nonempty subset of n+1 vertices."""
     _at_least(1, "simplex_boundary", n)
     labels = [str(i) for i in range(n + 1)]
-    levels = {k: frozenset(itertools.combinations(range(n + 1), k + 1)) for k in range(n)}
-    return SimplicialComplex._from_levels(levels, levels[n - 1], labels)
+    levels = [frozenset(itertools.combinations(range(n + 1), k + 1)) for k in range(n)]
+    return SimplicialComplex(levels, levels[n - 1], labels)
 
 
 def cross_polytope_boundary(n: int) -> SimplicialComplex:
@@ -120,7 +120,7 @@ def _shifted(faces, shift: int) -> list[Face]:
 def _points(*labels: str) -> SimplicialComplex:
     """The complex of isolated vertices with these labels."""
     points = list(zip(range(len(labels))))
-    return SimplicialComplex._from_levels({0: points}, points, labels)
+    return SimplicialComplex([points], points, labels)
 
 
 def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
@@ -140,13 +140,13 @@ def join(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
     # Shifted B ids all exceed A ids, so a + b stays sorted.
     a_faces = [[()], *map(A.faces_of_dim, range(A.dim + 1))]
     b_faces = [[()], *(_shifted(B.faces_of_dim(j), shift) for j in range(B.dim + 1))]
-    levels = {}
+    levels = []
     for size in range(1, A.dim + B.dim + 3):
         sizes = range(max(0, size - B.dim - 1), min(size, A.dim + 1) + 1)
         pairs = (itertools.product(a_faces[i], b_faces[size - i]) for i in sizes)
-        levels[size - 1] = frozenset(itertools.starmap(add, itertools.chain.from_iterable(pairs)))
+        levels.append(frozenset(itertools.starmap(add, itertools.chain.from_iterable(pairs))))
     facets = itertools.starmap(add, itertools.product(A.facets, _shifted(B.facets, shift)))
-    return SimplicialComplex._from_levels(levels, facets, _merge_labels(A, B))
+    return SimplicialComplex(levels, facets, _merge_labels(A, B))
 
 
 def cone(K: SimplicialComplex) -> SimplicialComplex:
@@ -166,12 +166,12 @@ def disjoint_union(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComp
     if B.is_empty():
         return A
     shift = len(A.labels)
-    levels = {
-        k: A.faces_of_dim(k).union(_shifted(B.faces_of_dim(k), shift))
+    levels = [
+        A.faces_of_dim(k).union(_shifted(B.faces_of_dim(k), shift))
         for k in range(max(A.dim, B.dim) + 1)
-    }
+    ]
     facets = [*A.facets, *_shifted(B.facets, shift)]
-    return SimplicialComplex._from_levels(levels, facets, _merge_labels(A, B))
+    return SimplicialComplex(levels, facets, _merge_labels(A, B))
 
 
 def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
@@ -194,7 +194,7 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     face_id = {face: i for i, face in enumerate(faces)}
     # ends[face]: the chains of the current length whose top face is face.
     ends = {face: [(i,)] for face, i in face_id.items()}
-    levels = {0: list(itertools.chain.from_iterable(ends.values()))}
+    levels = [list(itertools.chain.from_iterable(ends.values()))]
     facets = [(face_id[f],) for f in K.facets if len(f) == 1]
     for size in range(2, K.dim + 2):
         shorter, ends = ends, {}
@@ -205,10 +205,10 @@ def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
                 top = itertools.repeat((face_id[face],))
                 ends[face] = list(map(add, itertools.chain.from_iterable(chains), top))
         del shorter
-        levels[size - 1] = frozenset(itertools.chain.from_iterable(ends.values()))
+        levels.append(frozenset(itertools.chain.from_iterable(ends.values())))
         facets += itertools.chain.from_iterable(ends[f] for f in K.facets if len(f) == size)
     del ends
-    return SimplicialComplex._from_levels(levels, facets, labels)
+    return SimplicialComplex(levels, facets, labels)
 
 
 # -- face counts in closed form ----------------------------------------------

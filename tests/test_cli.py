@@ -806,6 +806,18 @@ def test_batch_empty_directory(tmp_path, capsys):
     assert "0 file(s)" in out
 
 
+def test_batch_reads_suffixes_in_any_letter_case(tmp_path, capsys):
+    main(["gen", "simplex_boundary:2", "-o", str(tmp_path / "tri.JSON"), "--format", "json"])
+    main(["gen", "polygon:4", "-o", str(tmp_path / "sq.FACETS")])
+    capsys.readouterr()
+    assert run(capsys, "check", str(tmp_path / "tri.JSON"))[0] == 0
+    rc, out, _ = run(capsys, "batch", str(tmp_path))
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        ["sq.FACETS", "pass"], ["tri.JSON", "pass"], ["2", "file(s):"]
+    ]
+    assert rc == 0
+
+
 def test_batch_mixed_error_and_pass(tmp_path, capsys):
     _write_corpus(tmp_path, ["torus7"])
     (tmp_path / "broken.facets").write_text("a a\n")
@@ -830,13 +842,13 @@ def test_check_names_may_follow_an_option_after_the_operands(tmp_path, capsys):
         ["check", hexagon, "--json", "--bogus"],
         ["check", hexagon, "--json", "eulerian", "--bogus"],
         ["info", hexagon, "--json", "x"],
+        ["info", hexagon, "x"],
         ["gen", "torus7", "-o", str(tmp_path / "t.facets"), "x"],
     ):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-    assert run(capsys, "info", hexagon, "x") == (2, "", "error: info takes a single facet file\n")
 
 
 def test_deeply_nested_json_file_is_an_input_error(tmp_path, capsys):

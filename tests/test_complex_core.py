@@ -124,6 +124,24 @@ def test_membership_and_label_round_trip():
         K.face_from_labels(["nope"])
 
 
+@pytest.mark.parametrize(
+    "K",
+    [
+        SimplicialComplex.from_facets([]),
+        SimplicialComplex.from_facets([["a", "b", "c"], ["c", "d"]]),
+        gen.simplex_boundary(3),
+    ],
+    ids=["empty", "closure", "generator"],
+)
+def test_face_queries_out_of_range_find_nothing(K):
+    # a negative dimension must not index the levels from the top
+    assert K.faces_of_dim(-1) == K.faces_of_dim(K.dim + 1) == frozenset()
+    assert () not in K
+    assert tuple(range(K.dim + 2)) not in K
+    if K.is_empty():
+        assert list(K.faces()) == []
+
+
 # -- link and star ------------------------------------------------------------
 
 
