@@ -394,7 +394,9 @@ def cmd_batch(args) -> int:
         raise InputError(f"{display_path(args.dir)}: not a directory")
     suffixes = (".facets", ".txt", ".json")
     try:
-        files = sorted(p for p in dirpath.iterdir() if p.is_file() and p.suffix.lower() in suffixes)
+        files = sorted(
+            p for p in dirpath.iterdir() if p.is_file() and p.suffix.lower() in suffixes
+        )
     except OSError as e:
         raise InputError(f"{display_path(args.dir)}: {e.strerror or e}") from None
     outdir = Path(args.out) if args.out else dirpath / "reports"
