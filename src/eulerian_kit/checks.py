@@ -41,7 +41,6 @@ always the first failure in (dimension ascending, lexicographic) order.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import accumulate, chain, combinations, repeat
 
 from .complexes import Face, SimplicialComplex
@@ -181,6 +180,8 @@ def check_main_formula(K: SimplicialComplex) -> CheckReport:
     even-dimensional Eulerian complexes; odd-dimensional input is reported
     with a parity warning, and the empty complex raises PreconditionError.
     """
+    from fractions import Fraction  # here, so that starting the CLI does not import it
+
     if K.is_empty():
         raise PreconditionError("empty complex")
     fv = f_vector(K)

@@ -9,7 +9,10 @@ witness, and its complex, for the checks that read faces.  A generator
 expression's counts come in closed form (`generators.face_counts`), and it
 is built only when a selected check reads faces; a facet file's complex
 serves as both.  `build_document` hands each check the object it reads.
-Generator expressions are parsed by `generators.parse_generator_expr`.
+Generator expressions are parsed by `generators.parse_generator_expr`; the
+CLI imports `generators` when a command first reads an expression, and
+`fractions` when a report first shows a rational, so a facet-file command
+starts without either.
 Every number in a JSON report is a decimal string or a reduced "p/q"
 rational; nothing is ever emitted as floating point.
 """
@@ -20,7 +23,6 @@ import argparse
 import os
 import sys
 from collections import Counter, namedtuple
-from fractions import Fraction
 from pathlib import Path
 
 from .checks import check_main_formula, ds_residuals, is_eulerian, proof_trace
@@ -34,7 +36,6 @@ from .facetio import (
     to_json,
     write_facets,
 )
-from .generators import build, face_counts, parse_generator_expr
 from .invariants import euler_characteristic, f_vector, h_vector
 
 SCHEMA_VERSION = 1
@@ -68,6 +69,8 @@ def _exact(K, value):
         return list(K.labels_of(value))
     if kind is str or kind is bool or value is None:
         return value
+    from fractions import Fraction
+
     if kind is Fraction:
         return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
     raise TypeError(f"cannot report {kind.__name__} {value!r}")
@@ -289,6 +292,29 @@ def render_text(doc, color=False) -> str:
     return "\n".join(lines)
 
 
+# -- generator expressions, imported on first use -------------------------------
+# A facet-file command never imports generators.  These stay cli names,
+# which the tests and perfbench's tracer patch.
+
+
+def parse_generator_expr(text):
+    from .generators import parse_generator_expr
+
+    return parse_generator_expr(text)
+
+
+def build(spec):
+    from .generators import build
+
+    return build(spec)
+
+
+def face_counts(spec):
+    from .generators import face_counts
+
+    return face_counts(spec)
+
+
 # -- commands -------------------------------------------------------------------
 
 
@@ -305,6 +331,8 @@ def _load_input(args):
     it, or a facet file's complex as both."""
     if args.gen and args.path:
         raise InputError("give either a facet file or --gen, not both")
+    if args.gen and args.format:
+        raise InputError("--format applies to a facet file, not to --gen")
     if args.gen:
         spec = parse_generator_expr(args.gen)
         prov = {"kind": "generator", "expr": spec.to_expr()}

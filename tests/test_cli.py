@@ -171,6 +171,21 @@ def test_a_file_and_a_generator_together_are_an_input_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "--gen", "torus7", "--format", "json"],
+        ["check", "--gen", "torus7", "--format", "plain", "ds"],
+    ],
+)
+def test_an_input_format_with_a_generator_is_an_input_error(capsys, argv):
+    """--format names a facet file's format, so with --gen it is refused,
+    not ignored."""
+    assert run(capsys, *argv) == (
+        2, "", "error: --format applies to a facet file, not to --gen\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [["info"], ["check"], ["check", "eulerian", "--json"]])
 def test_no_input_is_an_input_error(capsys, argv):
     assert run(capsys, *argv) == (2, "", "error: no input: give a facet file or --gen EXPR\n")

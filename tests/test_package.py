@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import eulerian_kit
-from eulerian_kit import CheckReport, DSResidualRow
+from eulerian_kit import CheckReport, DSResidualRow, cli
 from eulerian_kit.generators import FaceCounts, face_counts, parse_generator_expr
 
 PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "eulerian_kit"
@@ -64,25 +64,61 @@ def test_every_json_document_comes_from_the_one_writer():
 
 # dataclasses imports these, and they took about 13 ms of each start of the CLI
 INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# what every start of the CLI loads of the package; the generator grammar
+# and fractions (which imports decimal) load only where a command uses them
+START_MODULES = {
+    f"eulerian_kit{suffix}"
+    for suffix in ("", ".cli", ".checks", ".complexes", ".errors", ".facetio",
+                   ".invariants", ".reports")
+}
+
+
+def _fresh(code):
+    """(the modules a fresh interpreter loads while it runs code, the bytes
+    code prints on standard output)."""
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "sys.stdout.flush()\n"
+        "sys.stderr.write(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
+    return set(json.loads(run.stderr)), run.stdout
+
+
+def _package_modules(loaded):
+    return {name for name in loaded if name.split(".")[0] == "eulerian_kit"}
 
 
 def test_the_cli_starts_without_the_introspection_modules():
     """A fresh interpreter that imports the CLI and builds its parser, as
     every invocation does, loads none of INTROSPECTION."""
-    code = (
-        "import json, sys\n"
-        "before = set(sys.modules)\n"
-        "import eulerian_kit.cli as cli\n"
-        "cli.build_arg_parser()\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    loaded = json.loads(run.stdout)
+    loaded, _ = _fresh("import eulerian_kit.cli as cli; cli.build_arg_parser()")
     assert "eulerian_kit.cli" in loaded
-    assert sorted(set(INTROSPECTION) & set(loaded)) == []
+    assert sorted(set(INTROSPECTION) & loaded) == []
+
+
+def test_the_cli_starts_without_the_generator_grammar_or_fractions():
+    loaded, _ = _fresh("import eulerian_kit.cli as cli; cli.build_arg_parser()")
+    assert _package_modules(loaded) == START_MODULES
+    assert sorted({"fractions", "decimal"} & loaded) == []
+
+
+@pytest.mark.parametrize("gen", [False, True], ids=["file", "gen"])
+def test_a_command_loads_the_generator_grammar_only_for_an_expression(tmp_path, capsys, gen):
+    """info on a facet file loads neither generators nor fractions; info
+    --gen loads generators.  Each prints in a fresh interpreter what it
+    prints in this one."""
+    path = tmp_path / "hex.facets"
+    path.write_text("".join(f"{i} {(i + 1) % 6}\n" for i in range(6)))
+    argv = ["info", "--gen", "torus7", "--json"] if gen else ["info", str(path), "--json"]
+    loaded, out = _fresh(f"import eulerian_kit.cli as cli; cli.main({argv!r})")
+    assert ("eulerian_kit.generators" in loaded) == gen
+    assert "fractions" not in loaded
+    assert cli.main(argv) == 0
+    assert out == capsys.readouterr().out.encode()
 
 
 def test_each_check_report_gets_its_own_values_and_failures():
