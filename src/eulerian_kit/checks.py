@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, chain, combinations, repeat
+from operator import sub
 
 from .complexes import Face, SimplicialComplex
 from .errors import InputError, PreconditionError
@@ -75,7 +76,10 @@ def link_chis(K: SimplicialComplex, k: int) -> dict[Face, int]:
     for j in range(k, K.dim + 1):
         subsets = map(combinations, K.faces_of_dim(j), repeat(k))
         (minus if (j - k) % 2 else plus).update(chain.from_iterable(subsets))
-    return {s: plus[s] - minus[s] for s in K.faces_of_dim(k - 1)}
+    # dict.get, not Counter's [], whose default is a Python-level __missing__
+    level = K.faces_of_dim(k - 1)
+    counts = map(sub, map(plus.get, level, repeat(0)), map(minus.get, level, repeat(0)))
+    return dict(zip(level, counts))
 
 
 def _bad_links(K: SimplicialComplex, k: int) -> list[dict]:

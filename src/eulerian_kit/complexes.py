@@ -15,7 +15,7 @@ tuple () but is never stored in a complex.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, repeat, starmap
+from itertools import chain, combinations, groupby, repeat, starmap
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
@@ -81,6 +81,10 @@ class SimplicialComplex:
         duplicate facets are absorbed silently.  Raises InputError on a
         token that is not a nonempty str, on whitespace or a lone surrogate
         in a label, and on a repeated label within one facet.
+
+        The interning makes what :meth:`from_indexed_facets` checks for,
+        dense ids, increasing id tuples and unique labels, so the facets go
+        to the closure unchecked, and its 0-faces are the labels' ids.
         """
         labels: list[str] = []
         index: dict[str, int] = {}
@@ -101,7 +105,7 @@ class SimplicialComplex:
             if len(set(ids)) != len(ids):
                 raise InputError(f"facet {list(row)!r} repeats a vertex")
             id_facets.append(tuple(sorted(ids)))
-        return cls.from_indexed_facets(id_facets, labels)
+        return cls._closure(id_facets, labels, len(labels))
 
     @classmethod
     def from_indexed_facets(
@@ -115,38 +119,59 @@ class SimplicialComplex:
         ids 0..n-1 and every edge (a, b) has a < b; since each face is closed
         downward through ``itertools.combinations``, which keeps the input
         order, an unsorted or repeated id in any face shows up in one of its
-        edges.  Then raises InputError if two labels are equal.
-
-        The closure runs one level at a time, top down: level k is every
-        (k+1)-subset of every face one level up, generated by
-        ``combinations`` straight into a ``frozenset``, and the input faces
-        it does not generate are exactly the facets of dimension k.
+        edges.  Then raises InputError if two labels are equal.  The checks
+        read the levels that the closure made.
         """
-        given: dict[int, set[Face]] = {}
-        for f in facets:
-            if f:
-                given.setdefault(len(f) - 1, set()).add(tuple(f))
-
-        levels: list[frozenset[Face]] = []
-        maximal: list[Face] = []
-        above: frozenset[Face] = frozenset()
-        for k in range(max(given, default=-1), -1, -1):
-            level = frozenset(chain.from_iterable(map(combinations, above, repeat(k + 1))))
-            extra = given.get(k, set()) - level
-            if extra:
-                maximal += extra
-                level = level.union(extra)
-            levels.append(level)
-            above = level
-        levels.reverse()
-
+        K = cls._closure(facets, labels)
+        levels = K._levels
         if (levels[0] if levels else set()) != set(zip(range(len(labels)))):
             raise InputError(f"faces must use each vertex id in range({len(labels)}) and no other")
         if not all(starmap(lt, levels[1] if len(levels) > 1 else ())):
             raise InputError("every face must be a strictly increasing tuple of vertex ids")
         if len(set(labels)) != len(labels):
             raise InputError("vertex labels must be unique")
+        return K
 
+    @classmethod
+    def _closure(
+        cls, facets: Iterable[Face], labels: Sequence[str], vertices: int | None = None
+    ) -> SimplicialComplex:
+        """The downward closure of facets, id tuples, with nothing checked.
+
+        The closure runs one level at a time, top down: level k is every
+        (k+1)-subset of every face one level up, generated by
+        ``combinations`` straight into a ``frozenset``, and the input faces
+        it does not generate are exactly the facets of dimension k.  Given
+        ``vertices``, the count of ids that the facets are known to use,
+        level 0 is those ids instead, and a 1-vertex facet is maximal when
+        no edge holds it.
+        """
+        faces = set(filter(None, map(tuple, facets)))
+        sizes = set(map(len, faces))
+        if len(sizes) > 1:  # facets of mixed dimensions
+            given = {k - 1: set(group) for k, group in groupby(sorted(faces, key=len), len)}
+        else:
+            given = {k - 1: faces for k in sizes}
+
+        levels: list[frozenset[Face]] = []
+        maximal: list[Face] = []
+        above: frozenset[Face] = frozenset()
+        for k in range(max(given, default=-1), -1, -1):
+            if k == 0 and vertices is not None:
+                level = frozenset(zip(range(vertices)))
+                extra = given.get(0, set())
+                if extra:
+                    held = set(chain.from_iterable(above))
+                    extra = {f for f in extra if f[0] not in held}
+            else:
+                level = frozenset(chain.from_iterable(map(combinations, above, repeat(k + 1))))
+                extra = given.get(k, set()) - level
+            if extra:
+                maximal += extra
+                level = level.union(extra)
+            levels.append(level)
+            above = level
+        levels.reverse()
         return cls(levels, maximal, labels)
 
     # -- elementary queries -------------------------------------------------

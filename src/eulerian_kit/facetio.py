@@ -5,6 +5,13 @@ starts a comment, blank lines are ignored.  JSON format: an object with a
 "facets" key holding an array of arrays of string labels.  Parse failures
 carry file/line/column diagnostics.  `to_json` writes every JSON document
 the package emits: JSON facet files here, and the CLI's reports.
+
+Both parsers check a whole file with builtins (`str.split`, `set`, `map`)
+and walk it token by token only once it is known to be bad, to name its
+first error: `_first_repeat` for a vertex repeated on a plain line,
+`_first_bad_facet` for a JSON facet that is not an array of strings.
+`str.split()` splits at exactly the characters that `str.isspace()` and
+the pattern `\\s` match, so a line's tokens are its `\\S+` matches.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -87,11 +95,20 @@ def detect_format(path) -> str:
 
 
 def parse_plain(text: str, source: str = "<plain>") -> list[list[str]]:
-    facets = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        cut = raw.find("#")
-        content = raw[:cut] if cut >= 0 else raw
-        row = []
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    facets = list(filter(None, map(str.split, lines)))
+    # a row of distinct tokens is as long as its set, and no row is longer
+    if sum(map(len, facets)) != sum(map(len, map(set, facets))):
+        _first_repeat(lines, source)
+    return facets
+
+
+def _first_repeat(lines: list[str], source: str) -> None:
+    """Raise the InputError of the first token repeated within a line, with
+    its line and column, 1-based; lines are comment-stripped."""
+    for lineno, content in enumerate(lines, 1):
         seen = set()
         for m in _TOKEN.finditer(content):
             tok = m.group()
@@ -100,10 +117,6 @@ def parse_plain(text: str, source: str = "<plain>") -> list[list[str]]:
                     f"{source}:{lineno}:{m.start() + 1}: repeated vertex {tok!r} in facet"
                 )
             seen.add(tok)
-            row.append(tok)
-        if row:
-            facets.append(row)
-    return facets
 
 
 def parse_json_facets(text: str, source: str = "<json>") -> list[list[str]]:
@@ -120,10 +133,21 @@ def parse_json_facets(text: str, source: str = "<json>") -> list[list[str]]:
     facets = doc["facets"]
     if not isinstance(facets, list):
         raise InputError(f"{source}: 'facets' must be an array")
+    # json.loads makes exact lists and strs, never a subclass
+    if not (
+        set(map(type, facets)) <= {list}
+        and set(map(type, chain.from_iterable(facets))) <= {str}
+    ):
+        _first_bad_facet(facets, source)
+    return facets
+
+
+def _first_bad_facet(facets: list, source: str) -> None:
+    """Raise the InputError of the first facet that is not an array of
+    strings."""
     for i, row in enumerate(facets):
         if not isinstance(row, list) or not all(isinstance(t, str) for t in row):
             raise InputError(f"{source}: facet {i} must be an array of strings")
-    return facets
 
 
 def read_facets(path, fmt: str | None = None) -> list[list[str]]:

@@ -7,8 +7,11 @@ tests were produced (or re-checked) by these functions.
 """
 
 import itertools
+import re
 
 import sympy
+
+from eulerian_kit.errors import InputError
 
 
 def closure_of(facets):
@@ -95,3 +98,34 @@ def random_facets(rng, max_vertices=10, max_facets=8, max_size=5):
         rng.sample(labels, rng.randint(1, min(max_size, n)))
         for _ in range(rng.randint(1, max_facets))
     ]
+
+
+def parse_plain(text, source="<plain>"):
+    """Plain facet rows token by token, as ``\\S+`` matches: the scanner
+    that ``facetio.parse_plain`` replaced, raising on the first repeat."""
+    facets = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        cut = raw.find("#")
+        content = raw[:cut] if cut >= 0 else raw
+        row = []
+        seen = set()
+        for m in re.finditer(r"\S+", content):
+            tok = m.group()
+            if tok in seen:
+                raise InputError(
+                    f"{source}:{lineno}:{m.start() + 1}: repeated vertex {tok!r} in facet"
+                )
+            seen.add(tok)
+            row.append(tok)
+        if row:
+            facets.append(row)
+    return facets
+
+
+def json_facet_rows(facets, source="<json>"):
+    """A JSON document's "facets" array checked row by row, as
+    ``facetio.parse_json_facets`` did: each row must be a list of str."""
+    for i, row in enumerate(facets):
+        if not isinstance(row, list) or not all(isinstance(t, str) for t in row):
+            raise InputError(f"{source}: facet {i} must be an array of strings")
+    return facets

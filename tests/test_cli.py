@@ -197,12 +197,23 @@ def test_no_input_is_an_input_error(capsys, argv):
         ('{"x": 1}', "expected an object with a 'facets' key"),
         ("[1, 2]", "expected an object with a 'facets' key"),
         ('{"facets": 3}', "'facets' must be an array"),
+        ('{"facets": [["a"], "bc"]}', "facet 1 must be an array of strings"),
+        ('{"facets": [["a", 1]]}', "facet 0 must be an array of strings"),
+        ('{"facets": [["a"], ["b", null], 7]}', "facet 1 must be an array of strings"),
     ],
 )
 def test_json_file_without_a_facet_array_is_an_input_error(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert run(capsys, "info", str(path)) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_plain_file_names_its_first_repeated_vertex(tmp_path, capsys):
+    path = tmp_path / "bad.facets"
+    path.write_text("a b c\nd e # d\n\nx y x\nb c b\n")
+    assert run(capsys, "info", str(path)) == (
+        2, "", f"error: {path}:4:5: repeated vertex 'x' in facet\n"
+    )
 
 
 def test_format_option_overrides_the_file_extension(tmp_path, capsys):

@@ -326,6 +326,23 @@ def test_closure_and_facets_match_the_oracle(seed, max_size, extra):
     assert K.facets == tuple(sorted(maximal, key=lambda f: (len(f), f)))
 
 
+def _stored(K):
+    return [K.faces_of_dim(i) for i in range(K.dim + 1)], K.facets, K.labels
+
+
+@given(seed=st.integers(0, 2**32 - 1), max_size=st.integers(1, 6), extra=st.integers(0, 4))
+def test_from_facets_builds_what_the_checked_closure_builds(seed, max_size, extra):
+    """from_facets closes without from_indexed_facets' checks and takes its
+    0-faces from the labels; both must give the same complex, 1-vertex
+    facets (maximal or held by an edge) and mixed dimensions included."""
+    rows = random_rows(seed, max_size, extra)
+    K = SimplicialComplex.from_facets(rows)
+    assert _stored(K) == _stored(SimplicialComplex.from_indexed_facets(K.facets, K.labels))
+    ids = oracles.vertex_ids(rows)
+    interned = [tuple(sorted(map(ids.__getitem__, row))) for row in rows]
+    assert _stored(K) == _stored(SimplicialComplex.from_indexed_facets(interned, list(ids)))
+
+
 # A complete graph on 8 vertices given as edges only: every triangle is a
 # missing clique, and the witness must be the lexicographically first one.
 COMPLETE_GRAPH_EDGES = [[f"v{a}", f"v{b}"] for a, b in itertools.combinations(range(8), 2)]
