@@ -15,7 +15,7 @@ tuple () but is never stored in a complex.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, groupby, repeat, starmap
+from itertools import chain, combinations, groupby, pairwise, repeat, starmap
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
@@ -42,9 +42,10 @@ class SimplicialComplex:
     """Downward-closed set of nonempty faces over a dense vertex range.
 
     Build instances from a facet list with :meth:`from_facets` (string
-    labels) or :meth:`from_indexed_facets` (pre-assigned dense ids).  Both
-    compute the downward closure, absorb dominated input faces, and record
-    the maximal faces.  The faces are one tuple of levels, indexed by
+    labels) or :meth:`from_indexed_facets` (pre-assigned dense ids, checked
+    first).  Both, and :meth:`link` and :meth:`star`, go through the one
+    closure, which absorbs dominated input faces and records the maximal
+    faces.  The faces are one tuple of levels, indexed by
     dimension; the generators that know every face of what they build skip
     the closure and hand their levels to the constructor.
     The vertex labels are one tuple, :attr:`labels`, indexed by vertex id.
@@ -84,7 +85,7 @@ class SimplicialComplex:
 
         The interning makes what :meth:`from_indexed_facets` checks for,
         dense ids, increasing id tuples and unique labels, so the facets go
-        to the closure unchecked, and its 0-faces are the labels' ids.
+        to the closure unchecked.
         """
         labels: list[str] = []
         index: dict[str, int] = {}
@@ -105,7 +106,7 @@ class SimplicialComplex:
             if len(set(ids)) != len(ids):
                 raise InputError(f"facet {list(row)!r} repeats a vertex")
             id_facets.append(tuple(sorted(ids)))
-        return cls._closure(id_facets, labels, len(labels))
+        return cls._closure(id_facets, labels)
 
     @classmethod
     def from_indexed_facets(
@@ -115,36 +116,30 @@ class SimplicialComplex:
         range(len(labels)).
 
         Every vertex id must occur in some facet, so that the labels and the
-        0-faces agree.  Raises InputError unless the 0-faces are exactly the
-        ids 0..n-1 and every edge (a, b) has a < b; since each face is closed
-        downward through ``itertools.combinations``, which keeps the input
-        order, an unsorted or repeated id in any face shows up in one of its
-        edges.  Then raises InputError if two labels are equal.  The checks
-        read the levels that the closure made.
+        0-faces agree.  The input facets are checked before any face is
+        made: raises InputError unless the nonempty facets use exactly the
+        ids 0..n-1, then unless each facet is strictly increasing, then if
+        two labels are equal.
         """
-        K = cls._closure(facets, labels)
-        levels = K._levels
-        if (levels[0] if levels else set()) != set(zip(range(len(labels)))):
+        facets = list(map(tuple, facets))
+        if set(chain.from_iterable(facets)) != set(range(len(labels))):
             raise InputError(f"faces must use each vertex id in range({len(labels)}) and no other")
-        if not all(starmap(lt, levels[1] if len(levels) > 1 else ())):
+        if not all(starmap(lt, chain.from_iterable(map(pairwise, facets)))):
             raise InputError("every face must be a strictly increasing tuple of vertex ids")
         if len(set(labels)) != len(labels):
             raise InputError("vertex labels must be unique")
-        return K
+        return cls._closure(facets, labels)
 
     @classmethod
-    def _closure(
-        cls, facets: Iterable[Face], labels: Sequence[str], vertices: int | None = None
-    ) -> SimplicialComplex:
+    def _closure(cls, facets: Iterable[Face], labels: Sequence[str]) -> SimplicialComplex:
         """The downward closure of facets, id tuples, with nothing checked.
 
-        The closure runs one level at a time, top down: level k is every
-        (k+1)-subset of every face one level up, generated by
-        ``combinations`` straight into a ``frozenset``, and the input faces
-        it does not generate are exactly the facets of dimension k.  Given
-        ``vertices``, the count of ids that the facets are known to use,
-        level 0 is those ids instead, and a 1-vertex facet is maximal when
-        no edge holds it.
+        The facets must be strictly increasing and use every id in
+        range(len(labels)), so level 0 is those ids.  Each level above it is
+        made top down: level k is every (k+1)-subset of every face one level
+        up, generated by ``combinations`` straight into a ``frozenset``, and
+        the input faces it does not generate are exactly the facets of
+        dimension k.  A 1-vertex facet is maximal when no edge holds it.
         """
         faces = set(filter(None, map(tuple, facets)))
         sizes = set(map(len, faces))
@@ -156,21 +151,18 @@ class SimplicialComplex:
         levels: list[frozenset[Face]] = []
         maximal: list[Face] = []
         above: frozenset[Face] = frozenset()
-        for k in range(max(given, default=-1), -1, -1):
-            if k == 0 and vertices is not None:
-                level = frozenset(zip(range(vertices)))
-                extra = given.get(0, set())
-                if extra:
-                    held = set(chain.from_iterable(above))
-                    extra = {f for f in extra if f[0] not in held}
-            else:
-                level = frozenset(chain.from_iterable(map(combinations, above, repeat(k + 1))))
-                extra = given.get(k, set()) - level
+        for k in range(max(given, default=0), 0, -1):
+            level = frozenset(chain.from_iterable(map(combinations, above, repeat(k + 1))))
+            extra = given.get(k, set()) - level
             if extra:
                 maximal += extra
                 level = level.union(extra)
             levels.append(level)
             above = level
+        if given:
+            if 0 in given:
+                maximal += given[0].difference(zip(chain.from_iterable(above)))
+            levels.append(frozenset(zip(range(len(labels)))))
         levels.reverse()
         return cls(levels, maximal, labels)
 
@@ -227,26 +219,29 @@ class SimplicialComplex:
     # -- subcomplex operations ----------------------------------------------
 
     def _require_member(self, face) -> Face:
-        face = tuple(sorted(face))
+        face = tuple(face)
         if not face:
             raise InputError("the empty face is not accepted here")
-        if face not in self:
-            if all(0 <= v < len(self._labels) for v in face):
-                shown = "{" + ",".join(self.labels_of(face)) + "}"
-            else:
-                shown = repr(face)
-            raise InputError(f"{shown} is not a face of the complex")
-        return face
+        try:
+            face = tuple(sorted(face))
+            if face in self:
+                return face
+        except TypeError:  # ids that do not compare or hash, such as labels among ids
+            pass
+        if all(isinstance(v, int) and 0 <= v < len(self._labels) for v in face):
+            shown = "{" + ",".join(self.labels_of(face)) + "}"
+        else:
+            shown = repr(face)
+        raise InputError(f"{shown} is not a face of the complex")
 
     def _induced(self, id_facets: list[Face]) -> SimplicialComplex:
         # Dense relabeling that preserves the original id order, so labels
-        # carry over deterministically.
+        # carry over deterministically, and the facets stay increasing over
+        # every new id: the closure needs no checks.
         verts = sorted({v for f in id_facets for v in f})
         remap = {v: i for i, v in enumerate(verts)}
         labels = [self._labels[v] for v in verts]
-        return SimplicialComplex.from_indexed_facets(
-            [tuple(remap[v] for v in f) for f in id_facets], labels
-        )
+        return self._closure([tuple(remap[v] for v in f) for f in id_facets], labels)
 
     def link(self, face) -> SimplicialComplex:
         """Link of a nonempty face: all faces disjoint from it whose union

@@ -43,21 +43,44 @@ def test_duplicate_vertex_in_facet_rejected():
         SimplicialComplex.from_facets([["a", "b", "a"]])
 
 
-@pytest.mark.parametrize(
-    "facets, labels",
-    [
-        ([(1, 2)], ["a", "b"]),  # id 2 is past the table and id 0 is unused
-        ([(-1, 0)], ["a", "b"]),
-        ([(1, 0)], ["a", "b"]),
-        ([(0, 0)], ["a"]),
-        ([(0, 2, 1), (3,)], ["a", "b", "c", "d"]),  # the inversion is not in the prefix
-        ([(0,)], ["a", "b"]),
-        ([(0,), (1,)], ["a", "a"]),
-    ],
-)
-def test_indexed_facets_must_be_increasing_ids_over_the_whole_table(facets, labels):
-    with pytest.raises(InputError):
+RANGE = r"each vertex id in range\(\d+\) and no other"
+INCREASING = "strictly increasing tuple"
+UNIQUE = "labels must be unique"
+
+BAD_INDEXED = [
+    ([(1, 2)], ["a", "b"], RANGE),  # id 2 is past the table and id 0 is unused
+    ([(-1, 0)], ["a", "b"], RANGE),
+    ([(1, 0)], ["a", "b"], INCREASING),
+    ([(0, 0)], ["a"], INCREASING),
+    ([(0, 2, 1), (3,)], ["a", "b", "c", "d"], INCREASING),  # the inversion is not in the prefix
+    ([(0,)], ["a", "b"], RANGE),
+    ([(0,), (1,)], ["a", "a"], UNIQUE),
+]
+
+
+@pytest.mark.parametrize("facets, labels, message", BAD_INDEXED)
+def test_indexed_facets_must_be_increasing_ids_over_the_whole_table(facets, labels, message):
+    with pytest.raises(InputError, match=message):
         SimplicialComplex.from_indexed_facets(facets, labels)
+
+
+def test_bad_indexed_facets_are_refused_before_the_closure(monkeypatch):
+    calls = []
+    closure = SimplicialComplex._closure.__func__
+
+    def counted(cls, facets, labels):
+        calls.append(labels)
+        return closure(cls, facets, labels)
+
+    monkeypatch.setattr(SimplicialComplex, "_closure", classmethod(counted))
+    for facets, labels, message in BAD_INDEXED:
+        with pytest.raises(InputError, match=message):
+            SimplicialComplex.from_indexed_facets(facets, labels)
+    assert calls == []
+    # the facets may be any iterable, read once
+    K = SimplicialComplex.from_indexed_facets(iter([[1, 2], (0,), (0, 1)]), ["a", "b", "c"])
+    assert calls == [["a", "b", "c"]]
+    assert K.facets == ((0, 1), (1, 2))
 
 
 def test_duplicate_labels_are_reported_after_face_errors():
@@ -178,10 +201,16 @@ def test_link_preserves_original_labels():
 
 def test_link_rejects_non_faces_and_empty_face():
     K = gen.polygon(4)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"\{0,2\} is not a face"):
         K.link((0, 2))  # diagonal is not a face
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="empty face"):
         K.link(())
+    # labels, non-int ids, and a label among ids are not faces either
+    for face in [("x",), (1.5,), ("x", 0)]:
+        with pytest.raises(InputError, match="is not a face of the complex"):
+            K.link(face)
+        with pytest.raises(InputError, match="is not a face of the complex"):
+            K.star(face)
 
 
 def test_star_of_vertex_in_single_triangle_is_whole_complex():
@@ -205,6 +234,24 @@ def test_star_rejects_non_member():
     K = gen.polygon(5)
     with pytest.raises(InputError):
         K.star((0, 2))
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_link_and_star_of_every_face_match_the_oracles(seed):
+    rows = oracles.random_facets(random.Random(seed))
+    K = SimplicialComplex.from_facets(rows)
+    faces = oracles.complex_faces(K)
+    for sigma in K.faces():
+        sigma_labels = set(K.labels_of(sigma))
+        link, star = K.link(sigma), K.star(sigma)
+        assert oracles.complex_faces(link) == oracles.link_of(faces, sigma_labels)
+        assert oracles.complex_faces(star) == oracles.closure_of(
+            [row for row in rows if sigma_labels <= set(row)]
+        )
+        for L in (link, star):
+            # each vertex keeps its label, and the labels keep the parent's id order
+            used = set().union(*oracles.complex_faces(L))
+            assert L.labels == tuple(lab for lab in K.labels if lab in used)
 
 
 def test_link_faces_extend_to_star_faces():

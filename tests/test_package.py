@@ -1,9 +1,11 @@
-"""The package's public names, its records and its stdlib-only runtime."""
+"""The package's public names, its records, its stdlib-only runtime and
+README's library example."""
 
 import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,7 +15,8 @@ import eulerian_kit
 from eulerian_kit import CheckReport, DSResidualRow, cli
 from eulerian_kit.generators import FaceCounts, face_counts, parse_generator_expr
 
-PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "eulerian_kit"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE_DIR = ROOT / "src" / "eulerian_kit"
 
 
 def test_every_public_name_resolves():
@@ -172,3 +175,23 @@ def test_face_counts_refuse_attribute_assignment():
 )
 def test_records_print_as_before(record, text):
     assert repr(record) == text
+
+
+def test_the_readme_library_example_runs_as_written():
+    """Each line of README's "Library use" block runs in order, and a line
+    whose comment is a Python literal must evaluate to it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library use\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    namespace = {}
+    checked = 0
+    for line in block.group(1).splitlines():
+        code, _, comment = line.partition("  # ")
+        try:
+            expected = ast.literal_eval(comment.strip())
+        except (SyntaxError, ValueError):
+            exec(line, namespace)
+        else:
+            assert eval(code, namespace) == expected, line
+            checked += 1
+    assert checked >= 5
+    assert namespace["L"].by_size == (1, 6, 6)  # "a 6-cycle"
