@@ -60,8 +60,6 @@ def _exact(K, value):
     if kind is int:
         return _decimal(value)
     if kind is list:
-        if all(type(v) is int for v in value):  # an f- or h-vector
-            return list(map(_decimal, value))
         return [_exact(K, v) for v in value]
     if kind is dict:
         return {k: _exact(K, v) for k, v in value.items()}
@@ -190,7 +188,8 @@ def _proof_text(sec, color):
 # its section in the text report.
 # A check's precondition is its library function's PreconditionError, whose
 # message is the reason it is skipped.  Runners look their check up in this
-# module when they run, so a wrapper installed later still runs.
+# module when they run, so that perfbench/tracing.py's wrappers, installed on
+# these cli names, still run; ROADMAP item 20 takes this rule away.
 Check = namedtuple("Check", "name key run gates reads text")
 CHECKS = (
     Check("flag", "is_flag", lambda K, _: _section(K, K.is_flag(), "holds", "witness"),
@@ -293,8 +292,9 @@ def render_text(doc, color=False) -> str:
 
 
 # -- generator expressions, imported on first use -------------------------------
-# A facet-file command never imports generators.  These stay cli names,
-# which the tests and perfbench's tracer patch.
+# A facet-file command never imports generators.  These two wrappers exist
+# only because perfbench/tracing.py wraps them as cli names; ROADMAP item 20
+# removes them.
 
 
 def parse_generator_expr(text):
@@ -307,12 +307,6 @@ def build(spec):
     from .generators import build
 
     return build(spec)
-
-
-def face_counts(spec):
-    from .generators import face_counts
-
-    return face_counts(spec)
 
 
 # -- commands -------------------------------------------------------------------
@@ -334,6 +328,8 @@ def _load_input(args):
     if args.gen and args.format:
         raise InputError("--format applies to a facet file, not to --gen")
     if args.gen:
+        from .generators import face_counts
+
         spec = parse_generator_expr(args.gen)
         prov = {"kind": "generator", "expr": spec.to_expr()}
         return face_counts(spec), lambda: build(spec), prov
@@ -520,8 +516,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 # built by the first main() call and reused by every later one in the process:
-# parse_args returns a fresh Namespace each time, and help and usage read the
-# terminal width when they are printed
+# parse_known_args returns a fresh Namespace each time, and help and usage read
+# the terminal width when they are printed
 _parser = None
 
 

@@ -87,7 +87,6 @@ class SimplicialComplex:
         dense ids, increasing id tuples and unique labels, so the facets go
         to the closure unchecked.
         """
-        labels: list[str] = []
         index: dict[str, int] = {}
         id_facets: list[Face] = []
         for row in facets:
@@ -99,14 +98,13 @@ class SimplicialComplex:
                 # a str is never seen, so it is checked before any dict lookup
                 vid = index.get(tok) if isinstance(tok, str) else None
                 if vid is None:
-                    vid = len(labels)
+                    vid = len(index)
                     index[_check_label(tok)] = vid
-                    labels.append(tok)
                 ids.append(vid)
             if len(set(ids)) != len(ids):
                 raise InputError(f"facet {list(row)!r} repeats a vertex")
             id_facets.append(tuple(sorted(ids)))
-        return cls._closure(id_facets, labels)
+        return cls._closure(id_facets, list(index))
 
     @classmethod
     def from_indexed_facets(
@@ -118,11 +116,14 @@ class SimplicialComplex:
         Every vertex id must occur in some facet, so that the labels and the
         0-faces agree.  The input facets are checked before any face is
         made: raises InputError unless the nonempty facets use exactly the
-        ids 0..n-1, then unless each facet is strictly increasing, then if
-        two labels are equal.
+        ids 0..n-1, each an ``int`` (not a float or bool equal to one), then
+        unless each facet is strictly increasing, then if two labels are
+        equal.
         """
         facets = list(map(tuple, facets))
-        if set(chain.from_iterable(facets)) != set(range(len(labels))):
+        ids = list(chain.from_iterable(facets))
+        # the type of each occurrence: the id set alone takes 1.0 and True for 1
+        if not set(map(type, ids)) <= {int} or set(ids) != set(range(len(labels))):
             raise InputError(f"faces must use each vertex id in range({len(labels)}) and no other")
         if not all(starmap(lt, chain.from_iterable(map(pairwise, facets)))):
             raise InputError("every face must be a strictly increasing tuple of vertex ids")

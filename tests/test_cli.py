@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eulerian_kit
-from eulerian_kit import cli
+from eulerian_kit import cli, generators
 from eulerian_kit.cli import (
     CHECK_NAMES,
     build_document,
@@ -517,7 +517,8 @@ def test_info_gen_builds_nothing_and_files_build(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(cli, "build", fails)
     rc, out, _ = run(capsys, "info", "--gen", "torus7")
     assert (rc, out.splitlines()[-1]) == (0, "flag: no   non-face clique: {0,1,2}")
-    monkeypatch.setattr(cli, "face_counts", fails)
+    counted = []
+    monkeypatch.setattr(generators, "face_counts", lambda s: counted.append(s) or face_counts(s))
     loads = []
     monkeypatch.setattr(cli, "load_complex", lambda *a: loads.append(a) or load_complex(*a))
     path = tmp_path / "hex.facets"
@@ -527,6 +528,9 @@ def test_info_gen_builds_nothing_and_files_build(monkeypatch, capsys, tmp_path):
     assert run(capsys, "check", str(path), "ds", "formula")[0] == 1
     assert run(capsys, "batch", str(tmp_path), "ds")[0] == 0
     assert len(loads) == 3
+    assert counted == []
+    assert run(capsys, "info", "--gen", "torus7")[0] == 0
+    assert len(counted) == 1  # the patch is the one a --gen command calls
 
 
 @pytest.mark.parametrize(
@@ -612,6 +616,18 @@ def test_numeric_fields_are_exact_strings(capsys):
     walk(doc)
     text = json.dumps(doc)
     assert "NaN" not in text
+
+
+def test_exact_encodes_a_list_element_by_element():
+    K = SimplicialComplex.from_facets([["a", "b"]])
+    assert cli._exact(K, [-7, 0, 10**49]) == ["-7", "0", "1" + "0" * 49]
+    assert cli._exact(K, [{"i": 1, "face": (0, 1)}, {"holds": True, "w": None}]) == [
+        {"i": "1", "face": ["a", "b"]},
+        {"holds": True, "w": None},
+    ]
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(InputError, match=f"more than {limit} digits"):
+        cli._exact(K, [1, 10**limit])
 
 
 def test_exact_refuses_a_type_it_does_not_report():

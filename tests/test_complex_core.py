@@ -55,6 +55,10 @@ BAD_INDEXED = [
     ([(0, 2, 1), (3,)], ["a", "b", "c", "d"], INCREASING),  # the inversion is not in the prefix
     ([(0,)], ["a", "b"], RANGE),
     ([(0,), (1,)], ["a", "a"], UNIQUE),
+    # ids equal to ints but not ints, which a test of the id set alone takes
+    ([(0.0, 1.0), (1, 2), (0, 2)], ["a", "b", "c"], RANGE),
+    ([(False, True)], ["a", "b"], RANGE),
+    ([(0, 1), (1.0, 2), (0, 2)], ["a", "b", "c"], RANGE),  # {1, 1.0} has one element
 ]
 
 

@@ -624,9 +624,11 @@ def test_counts_report_equals_the_report_of_the_built_complex(spec, names, as_js
     for argv in (["check", "--gen", spec.to_expr(), *names], ["info", "--gen", spec.to_expr()]):
         argv += ["--json"] * as_json
         from_counts = cli_outcome(argv)
+        built = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "face_counts", gen.build)
+            mp.setattr(gen, "face_counts", lambda s: built.append(s.to_expr()) or gen.build(s))
             assert cli_outcome(argv) == from_counts
+        assert built == [spec.to_expr()]  # the built complex did answer
 
 
 @pytest.mark.parametrize("argv", [["check", "--gen", "simplex_boundary:14500", "ds"],
